@@ -61,15 +61,14 @@ SAMPLE_CAP = 8192
 class QuantileReservoir:
     """Bounded deterministic sample buffer with nearest-rank quantiles.
 
-    The shared decimation engine behind :class:`HistogramSummary` and
-    the gateway's own latency view (which must answer quantile queries
-    without an ambient registry installed).  The buffer is capped at
-    ``cap``; past that it decimates by keeping every other retained
-    sample and doubling the keep stride — deterministic (no RNG) and
-    spread across the whole stream rather than its head.
+    The decimation engine behind :class:`HistogramSummary`.  The
+    buffer is capped at ``cap``; past that it decimates by keeping
+    every other retained sample and doubling the keep stride —
+    deterministic (no RNG) and spread across the whole stream rather
+    than its head.
 
-    Not thread-safe on its own; callers synchronize (the registry and
-    the gateway both fold observations in under their own locks).
+    Not thread-safe on its own; callers synchronize (the registry
+    folds observations in under its lock).
 
     Args:
         cap: retained-sample bound (defaults to :data:`SAMPLE_CAP`).
@@ -211,6 +210,17 @@ class MetricsRegistry:
         """Current value of a counter (0 if never incremented)."""
         with self._lock:
             return self._counters.get(_key(name, labels), 0.0)
+
+    def counter_sum(self, name: str, **labels: Any) -> float:
+        """Sum of counter ``name`` over every label set that includes
+        ``labels`` (all of its series when none are given)."""
+        wanted = set(labels.items())
+        with self._lock:
+            return sum(
+                value
+                for (key_name, key_labels), value in self._counters.items()
+                if key_name == name and wanted <= set(key_labels)
+            )
 
     def histogram(self, name: str, **labels: Any) -> HistogramSummary:
         """Summary of a histogram (empty if never observed)."""

@@ -17,9 +17,10 @@ runs them that way, at two scales:
 * :class:`Gateway` is the asyncio network front-end over either:
   concurrent request intake (in-process async API or TCP/JSON-lines),
   bounded micro-batching, priority-aware admission control with typed
-  shedding and deadlines, SLO latency metrics, hedged requests, and a
-  self-healing replica lifecycle (failover, circuit breaking, canary
-  re-admission — see :mod:`repro.serve.lifecycle`).
+  shedding and deadlines, SLO latency metrics, one attempt schedule
+  covering failover and hedged requests, and a self-healing replica
+  lifecycle (circuit breaking, canary re-admission — see
+  :mod:`repro.serve.lifecycle`).
 
 See ``docs/serving.md`` for the threading and sharding models and
 ``docs/gateway.md`` for the gateway.
@@ -42,7 +43,7 @@ from .gateway import (
     Replica,
     ShardedReplica,
 )
-from .lifecycle import ReplicaState, RollingBreaker
+from .lifecycle import ReplicaState
 from .sharded import (
     ShardCutInfo,
     ShardRunReport,
@@ -64,7 +65,6 @@ __all__ = [
     "QueryOutcome",
     "Replica",
     "ReplicaState",
-    "RollingBreaker",
     "ShardCutInfo",
     "ShardRunReport",
     "ShardSpec",

@@ -22,40 +22,46 @@ front-end the ROADMAP asks for:
   are enforced both while queued (the backend never sees an expired
   request) and in flight (a late answer is discarded), with the phase
   recorded on the :class:`~repro.errors.DeadlineExceededError`.
-* **SLO metrics.**  Request latency lands in the PR 3
-  :class:`~repro.obs.MetricsRegistry` as ``gateway_request_seconds``
-  (p50/p95/p99 via the registry's quantile-capable histograms) next to
-  queue-depth and batch-size histograms, per-priority latency/shed
-  series, and ``gateway_requests_total{status=...}`` counters;
-  :meth:`Gateway.stats` snapshots the same numbers without any ambient
-  registry installed.
-* **Replica lifecycle with re-admission.**  The gateway holds N
-  *replicas* — independent serving fleets over the same logical
-  column — each tracked by the :mod:`~repro.serve.lifecycle` state
-  machine (``ACTIVE → SUSPECTED → PROBATION → ACTIVE | DEAD``).  A
-  fleet that raises :class:`~repro.errors.ShardError`, fails a health
-  scan, or trips its rolling circuit breaker is *suspected* (out of
-  rotation) and its batch retried on a sibling; a background
-  supervisor then revives the backend and re-admits it once a
-  deterministic canary query answers bit-identical to a healthy peer,
-  with seeded exponential backoff between probes.  Replicas only die
-  for good when the probe budget is exhausted (or re-admission is
-  disabled with ``max_probe_attempts=0``).
-* **Hedged requests.**  When a batch's inflight time exceeds a
-  quantile-derived hedge delay (from the same latency reservoir the
-  SLOs read), the gateway dispatches the identical batch to a second
-  healthy replica and takes the first answer — safe because the
-  serving path is read-only and any two healthy replicas answer
-  bit-identically.  Hedges are counted honestly
-  (``gateway_hedges_total{outcome}``) and the loser's work is recorded
-  separately (:attr:`Gateway.hedge_records`) so IO reconciliation
-  never double-charges a batch.
+* **SLO metrics.**  Every gateway event is recorded once, into a
+  :class:`~repro.obs.MetricsRegistry` the gateway owns
+  (:attr:`Gateway.metrics`) and mirrors to the ambient
+  :func:`~repro.obs.get_metrics` registry: request latency as
+  ``gateway_request_seconds`` (p50/p95/p99 via the registry's
+  quantile-capable histograms) next to queue-depth and batch-size
+  histograms, per-priority latency/shed series, and
+  ``gateway_requests_total{status=...}`` counters.
+  :meth:`Gateway.stats` is a view of that registry, so it works
+  without any ambient registry installed.
+* **One attempt schedule.**  The gateway holds N *replicas* —
+  independent serving fleets over the same logical column — and
+  serves each micro-batch on one schedule: try replica A now, try B
+  at the hedge delay (``hedge_delay_s``, or a latency quantile) or
+  when A fails, and keep the first answer.  Failover and hedged
+  requests are two cases of that loop; every failed attempt suspects
+  its replica, and attempts still running when the batch is answered
+  are reaped onto a ledger (:attr:`Gateway.hedge_records`) so IO
+  reconciliation never double-charges a batch.  This is safe because
+  the serving path is read-only and any two healthy replicas answer
+  bit-identically.
+* **Replica lifecycle with re-admission.**  Each replica is tracked by
+  the :mod:`~repro.serve.lifecycle` state machine (``ACTIVE →
+  SUSPECTED → PROBATION → ACTIVE | DEAD``).  A replica is *suspected*
+  (out of rotation) when an attempt on it fails, it fails a health
+  scan, or its rolling circuit breaker opens; a background supervisor
+  then revives the backend and re-admits it once a deterministic
+  canary query answers bit-identical to a healthy peer, with seeded
+  exponential backoff between probes.  Replicas only die for good
+  when the probe budget is exhausted (or re-admission is disabled
+  with ``max_probe_attempts=0``).
+* **Bounded history.**  Batch and hedge records keep the newest
+  :data:`HISTORY_LIMIT` entries; the trace keeps its first
+  :data:`HISTORY_LIMIT` events and counts the rest as dropped.
 
 Determinism discipline: gateway *trace events* carry no wall-clock
 data (latencies go to metrics), the supervisor's probe schedule draws
 from a seeded RNG, and answers are whatever the backend produced —
 bit-identical to the serial oracle by the serving tier's own
-contracts, which is also what makes failover, hedging, and canary
+contracts, which is also what makes the attempt schedule and canary
 re-admission provably safe.
 """
 
@@ -76,17 +82,11 @@ from ..errors import (
     GatewayError,
     OverloadedError,
     QueryFailedError,
-    ShardError,
+    WorkloadError,
 )
-from ..obs import TraceCollector, TraceEvent, get_metrics
-from ..obs.metrics import QuantileReservoir
+from ..obs import MetricsRegistry, TraceCollector, TraceEvent, get_metrics
 from ..workload.query import RangeQuery
-from .lifecycle import (
-    ReplicaSlot,
-    ReplicaState,
-    RollingBreaker,
-    probe_backoff,
-)
+from .lifecycle import ReplicaSlot, ReplicaState, probe_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.executor import ExecutionResult
@@ -106,6 +106,12 @@ __all__ = [
 
 #: Latency-histogram quantiles the gateway reports (the SLO trio).
 SLO_QUANTILES = (0.50, 0.95, 0.99)
+
+#: Bound on a gateway's history.  Batch and hedge records keep the
+#: newest this many (each holds its backend report and every answer
+#: bitmap); the trace keeps its first this many events and counts the
+#: rest as dropped.
+HISTORY_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -128,16 +134,17 @@ class GatewayConfig:
             important; under overload the *last* class sheds first.
         default_priority: class assigned to requests that do not name
             one (must be a member of ``priority_classes``).
-        hedge_quantile: latency quantile (of the gateway's own request
-            reservoir) that sets the hedge delay — a batch still
-            inflight past that delay is hedged to a second healthy
+        hedge_quantile: latency quantile (of the gateway's own
+            ``gateway_request_seconds`` histogram) that sets the hedge
+            delay — a batch whose first attempt is still running past
+            that delay starts a second one on the next healthy
             replica.  ``None`` disables quantile-derived hedging.
         hedge_delay_s: fixed hedge delay in seconds, taking precedence
             over ``hedge_quantile`` (useful for deterministic tests
             and known-SLO deployments).  ``None`` defers to the
             quantile.
         hedge_min_samples: observed request latencies required before
-            a quantile-derived hedge delay is trusted (cold reservoirs
+            a quantile-derived hedge delay is trusted (a cold histogram
             would hedge everything).
         breaker_window: per-replica rolling window of per-query
             outcomes feeding the circuit breaker.
@@ -283,11 +290,11 @@ class Replica:
     (the gateway calls it from its dispatch thread pool, via
     :meth:`serve_batch`) and returns a report exposing ``outcomes`` —
     per-query :class:`~repro.serve.batch.QueryOutcome`\\ s in query
-    order — and ``reconciles()``.  A raise of
-    :class:`~repro.errors.ShardError` means "this fleet is gone"; the
-    gateway suspects the replica, closes it, and retries the batch on
-    a sibling.  The supervisor may later call :meth:`revive` and
-    replay a canary query to re-admit it.
+    order — and ``reconciles()``.  A raise (typically
+    :class:`~repro.errors.ShardError`: "this fleet is gone") fails
+    the attempt; the gateway suspects the replica, closes it, and
+    tries the batch on a sibling.  The supervisor may later call
+    :meth:`revive` and replay a canary query to re-admit it.
 
     :meth:`close` is idempotent and race-safe: the supervisor, a
     failover path, and :meth:`Gateway.aclose` may all reach for it
@@ -408,9 +415,7 @@ class ShardedReplica(Replica):
             self.executor.restart()
         except Exception:
             return False
-        with self._close_lock:
-            self._closed = False
-        return self.executor.healthy
+        return super().revive()
 
 
 class BatchReplica(Replica):
@@ -421,7 +426,8 @@ class BatchReplica(Replica):
     runs) where process fleets buy nothing.  Health is probed for real
     via :attr:`~repro.serve.batch.BatchExecutor.healthy` (cheap store
     metadata, not a query), so the supervisor can notice a store that
-    went away underneath the executor.
+    went away underneath the executor; the inherited :meth:`revive`
+    succeeds exactly when that store is readable again.
 
     Args:
         replica_id: dense replica id.
@@ -449,17 +455,6 @@ class BatchReplica(Replica):
         """Whether the executor's store still answers metadata reads."""
         return not self._closed and self.batch_executor.healthy
 
-    def revive(self) -> bool:
-        """Reopen intake and re-probe the store.
-
-        The thread-pool executor holds no processes to respawn; a
-        revive succeeds exactly when the underlying store is readable
-        again.
-        """
-        with self._close_lock:
-            self._closed = False
-        return self.batch_executor.healthy
-
 
 @dataclass(frozen=True)
 class GatewayBatchRecord:
@@ -475,8 +470,10 @@ class GatewayBatchRecord:
         size: requests in the batch after queued-deadline filtering.
         replica_id: the replica that produced the answers (the hedge
             winner, for hedged batches).
-        attempts: replicas tried (1 = no failover).
-        failed_replica_ids: replicas that raised mid-batch, in order.
+        attempts: failed attempts before the answer plus the winning
+            one (1 = no failover).
+        failed_replica_ids: replicas whose attempt failed before the
+            answer, in the order the gateway saw them fail.
         report: the backend's batch report (``BatchReport`` or
             ``ShardedBatchReport``), carrying outcomes and IO.
         hedged: whether a hedge request was dispatched for this batch.
@@ -501,23 +498,26 @@ class GatewayBatchRecord:
 
 @dataclass(frozen=True)
 class GatewayHedgeRecord:
-    """One side of a hedged batch (winner or discarded loser).
+    """One attempt of a hedged batch: the winner, or an attempt still
+    running when the batch was answered.
 
     Hedge work must be counted honestly: the winner's report is the
     one clients are billed from (it rides the
-    :class:`GatewayBatchRecord`), and the loser's report — real IO a
+    :class:`GatewayBatchRecord`), and a loser's report — real IO a
     backend performed for an answer nobody used — is recorded here so
     reconciliation can account for it byte-exactly without ever
     double-charging the batch.
 
     Attributes:
-        batch_id: the batch this hedge side served.
-        replica_id: the replica that ran this side.
-        role: ``"primary"`` or ``"hedge"``.
-        used: whether this side's answers were delivered to clients.
-        error: ``type(exc).__name__`` when this side failed instead of
-            completing (``None`` on success).
-        report: the side's backend report (``None`` when it failed).
+        batch_id: the batch this attempt served.
+        replica_id: the replica that ran this attempt.
+        role: ``"primary"`` (the first attempt), ``"hedge"`` (started
+            by the hedge delay) or ``"failover"`` (started when an
+            attempt failed).
+        used: whether this attempt's answers were delivered.
+        error: ``type(exc).__name__`` when this attempt failed instead
+            of completing (``None`` on success).
+        report: the attempt's backend report (``None`` when it failed).
     """
 
     batch_id: int
@@ -529,13 +529,17 @@ class GatewayHedgeRecord:
 
     @property
     def discarded(self) -> bool:
-        """Whether this side's work was thrown away (hedge loser)."""
+        """Whether this attempt's work was thrown away (a loser)."""
         return not self.used
 
 
 @dataclass
 class GatewayStats:
-    """A point-in-time snapshot of the gateway's SLO counters.
+    """A point-in-time view of the gateway's metrics registry.
+
+    :meth:`Gateway.stats` derives every field from
+    :attr:`Gateway.metrics` except the replica counts, which come from
+    the lifecycle states.
 
     Attributes:
         requests_total: requests submitted (admitted or shed).
@@ -548,7 +552,7 @@ class GatewayStats:
         batches: backend batches dispatched (empty flushes excluded).
         empty_flushes: micro-batches that emptied out (every member
             expired while queued) and were never sent to a backend.
-        failovers: replica failovers performed.
+        failovers: failed replica attempts (each one a failover).
         hedges: hedge requests dispatched.
         hedges_won: hedged batches answered by the hedge replica.
         breaker_opens: circuit-breaker trips (rolling per-query
@@ -679,6 +683,29 @@ class _PriorityIntake:
         return stranded
 
 
+class _MirroredMetrics(MetricsRegistry):
+    """The gateway's own registry, mirrored to the ambient one.
+
+    Every gateway event is recorded here once; each record is also
+    forwarded to :func:`~repro.obs.get_metrics`, so a collector
+    installed around the gateway sees the same series.
+    """
+
+    def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
+        """Add to a counter here and in the ambient registry."""
+        super().inc(name, value, **labels)
+        ambient = get_metrics()
+        if ambient is not self:
+            ambient.inc(name, value, **labels)
+
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        """Fold into a histogram here and in the ambient registry."""
+        super().observe(name, value, **labels)
+        ambient = get_metrics()
+        if ambient is not self:
+            ambient.observe(name, value, **labels)
+
+
 class Gateway:
     """Asyncio front-end coalescing requests into backend micro-batches.
 
@@ -686,8 +713,8 @@ class Gateway:
     ``async with gateway:`` (or :meth:`start` / :meth:`aclose`).
     Requests enter through :meth:`submit` (in-process) or the
     TCP/JSON-lines listener from :meth:`serve_tcp`; both go through
-    the same admission control, batcher, failover, and hedging
-    machinery.  A background supervisor task (enabled whenever
+    the same admission control, batcher, and attempt schedule.  A
+    background supervisor task (enabled whenever
     ``config.max_probe_attempts > 0``) probes suspected replicas and
     re-admits the ones that pass a canary check.
 
@@ -715,7 +742,6 @@ class Gateway:
         self._batcher_task: asyncio.Task | None = None
         self._supervisor_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
-        self._hedge_tasks: set[asyncio.Task] = set()
         self._inflight: asyncio.Semaphore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
@@ -724,11 +750,7 @@ class Gateway:
         self._lock = threading.Lock()
         self._slots: dict[int, ReplicaSlot] = {
             replica.replica_id: ReplicaSlot(
-                replica=replica,
-                breaker=RollingBreaker(
-                    self._config.breaker_window,
-                    self._config.breaker_failures,
-                ),
+                replica, deque(maxlen=self._config.breaker_window)
             )
             for replica in self._replicas
         }
@@ -736,11 +758,14 @@ class Gateway:
             raise ValueError("replica ids must be unique")
         self._rng = random.Random(self._config.supervisor_seed)
         self._next_replica = 0
-        self._trace = TraceCollector()
-        self._stats = GatewayStats()
-        self._latencies = QuantileReservoir()
-        self._batch_records: list[GatewayBatchRecord] = []
-        self._hedge_records: list[GatewayHedgeRecord] = []
+        self._trace = TraceCollector(limit=HISTORY_LIMIT)
+        self._metrics = _MirroredMetrics()
+        self._batch_records: deque[GatewayBatchRecord] = deque(
+            maxlen=HISTORY_LIMIT
+        )
+        self._hedge_records: deque[GatewayHedgeRecord] = deque(
+            maxlen=HISTORY_LIMIT
+        )
         self._batch_counter = 0
         self._canary_ref: (
             tuple[RangeQuery, tuple[int, ...]] | None
@@ -779,21 +804,23 @@ class Gateway:
     def events(self) -> tuple[TraceEvent, ...]:
         """The gateway's deterministic trace stream (batches,
         failovers, sheds, state transitions, probes, hedges — no
-        wall-clock data)."""
+        wall-clock data): the first :data:`HISTORY_LIMIT` events."""
         with self._lock:
             return tuple(self._trace.events)
 
     @property
     def batch_records(self) -> tuple[GatewayBatchRecord, ...]:
-        """Per-batch dispatch records, in dispatch order."""
+        """Per-batch dispatch records, in dispatch order (the newest
+        :data:`HISTORY_LIMIT`)."""
         with self._lock:
             return tuple(self._batch_records)
 
     @property
     def hedge_records(self) -> tuple[GatewayHedgeRecord, ...]:
-        """Both sides of every hedged batch, winners and discarded
-        losers, in completion order (how tests reconcile hedge IO
-        without double-charging)."""
+        """The hedge ledger: every hedged batch's winner and the
+        attempts reaped after its answer, in completion order (the
+        newest :data:`HISTORY_LIMIT`).  This is how tests reconcile
+        hedge IO without double-charging."""
         with self._lock:
             return tuple(self._hedge_records)
 
@@ -802,31 +829,66 @@ class Gateway:
         """Requests currently waiting for a micro-batch slot."""
         return self._intake.qsize() if self._intake is not None else 0
 
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The gateway's own registry: every event it recorded,
+        whatever ambient registry is installed (:meth:`stats` reads
+        it)."""
+        return self._metrics
+
     def stats(self) -> GatewayStats:
-        """Snapshot the SLO counters (latency quantiles included)."""
-        with self._lock:
-            snapshot = GatewayStats(**vars(self._stats))
-            snapshot.shed_by_priority = dict(
-                self._stats.shed_by_priority
-            )
-            healthy = suspected = dead = 0
-            for slot in self._slots.values():
-                if slot.state is ReplicaState.ACTIVE:
-                    healthy += 1
-                elif slot.state is ReplicaState.DEAD:
-                    dead += 1
-                else:
-                    suspected += 1
-            snapshot.replicas_healthy = healthy
-            snapshot.replicas_suspected = suspected
-            snapshot.replicas_dead = dead
-            p50, p95, p99 = (
-                self._latencies.quantile(q) for q in SLO_QUANTILES
-            )
-            snapshot.latency_p50_s = p50
-            snapshot.latency_p95_s = p95
-            snapshot.latency_p99_s = p99
-        return snapshot
+        """Snapshot the SLO counters: a view of :attr:`metrics` plus
+        the replicas' lifecycle states."""
+        metrics = self._metrics
+
+        def count(name: str, **labels: Any) -> int:
+            return int(metrics.counter_sum(name, **labels))
+
+        depth = metrics.histogram("gateway_queue_depth")
+        latency = metrics.histogram("gateway_request_seconds")
+        p50, p95, p99 = (latency.quantile(q) for q in SLO_QUANTILES)
+        states = list(self.replica_states().values())
+        shed_by_priority = {
+            priority: count("gateway_sheds_total", priority=priority)
+            for priority in self._config.priority_classes
+        }
+        return GatewayStats(
+            # Each admitted request samples the queue depth once;
+            # refused requests never enter the queue.
+            requests_total=depth.count
+            + count("gateway_sheds_total", kind="refused"),
+            # Each terminal status names the field that counts it.
+            **{
+                status: count("gateway_requests_total", status=status)
+                for status in (
+                    "ok",
+                    "shed",
+                    "deadline_queued",
+                    "deadline_inflight",
+                    "failed",
+                )
+            },
+            batches=count("gateway_batches_total"),
+            empty_flushes=count("gateway_empty_flushes_total"),
+            failovers=count("gateway_failovers_total"),
+            hedges=count("gateway_hedges_total", outcome="fired"),
+            hedges_won=count("gateway_hedges_total", outcome="won"),
+            breaker_opens=count("gateway_breaker_opens_total"),
+            readmissions=count("gateway_readmissions_total"),
+            replicas_healthy=states.count("active"),
+            replicas_suspected=states.count("suspected")
+            + states.count("probation"),
+            replicas_dead=states.count("dead"),
+            queue_depth_peak=int(depth.max) if depth.count else 0,
+            shed_by_priority={
+                priority: sheds
+                for priority, sheds in shed_by_priority.items()
+                if sheds
+            },
+            latency_p50_s=p50,
+            latency_p95_s=p95,
+            latency_p99_s=p99,
+        )
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -853,8 +915,9 @@ class Gateway:
         self._closed = False
 
     async def aclose(self) -> None:
-        """Stop intake, fail stranded requests, reap dispatch and
-        hedge tasks, and (by default) close every replica.  Idempotent.
+        """Stop intake, fail stranded requests, wait for every
+        dispatched batch's attempts, and (by default) close every
+        replica.  Idempotent.
         """
         if not self._started or self._closed:
             self._closed = True
@@ -874,10 +937,6 @@ class Gateway:
         if self._dispatch_tasks:
             await asyncio.gather(
                 *tuple(self._dispatch_tasks), return_exceptions=True
-            )
-        if self._hedge_tasks:
-            await asyncio.gather(
-                *tuple(self._hedge_tasks), return_exceptions=True
             )
         assert self._intake is not None
         for request in self._intake.drain():
@@ -958,8 +1017,6 @@ class Gateway:
             victim = self._intake.evict_lower(priority_index)
             if victim is None:
                 self._note_shed(query, priority, depth, "refused")
-                with self._lock:
-                    self._stats.requests_total += 1
                 raise OverloadedError(
                     depth,
                     self._config.max_queue_depth,
@@ -993,32 +1050,27 @@ class Gateway:
             priority_index=priority_index,
         )
         self._intake.put_nowait(request)
-        depth_after = self._intake.qsize()
-        with self._lock:
-            self._stats.requests_total += 1
-            if depth_after > self._stats.queue_depth_peak:
-                self._stats.queue_depth_peak = depth_after
-        get_metrics().observe("gateway_queue_depth", depth_after)
+        self._metrics.observe("gateway_queue_depth", self._intake.qsize())
         return await request.future
+
+    def _event(self, kind: str, name: str, **attrs: Any) -> None:
+        """Emit one trace event (no wall-clock data) under the lock."""
+        with self._lock:
+            self._trace.emit(kind, name, **attrs)
 
     def _note_shed(
         self, query: RangeQuery, priority: str, depth: int, kind: str
     ) -> None:
-        """Record one shed (refusal or eviction) in stats/metrics."""
-        with self._lock:
-            self._stats.shed += 1
-            by_priority = self._stats.shed_by_priority
-            by_priority[priority] = by_priority.get(priority, 0) + 1
-            self._trace.emit(
-                "gateway.shed",
-                query.label or repr(query),
-                queue_depth=depth,
-                priority=priority,
-                shed=kind,
-            )
-        metrics = get_metrics()
-        metrics.inc("gateway_requests_total", status="shed")
-        metrics.inc(
+        """Record one shed (refusal or eviction)."""
+        self._event(
+            "gateway.shed",
+            query.label or repr(query),
+            queue_depth=depth,
+            priority=priority,
+            shed=kind,
+        )
+        self._metrics.inc("gateway_requests_total", status="shed")
+        self._metrics.inc(
             "gateway_sheds_total", priority=priority, kind=kind
         )
 
@@ -1066,16 +1118,12 @@ class Gateway:
                 # Zero-length flush: every member expired while
                 # queued; never bother a backend with it.
                 self._inflight.release()
-                with self._lock:
-                    self._stats.empty_flushes += 1
-                    self._trace.emit(
-                        "gateway.empty_flush",
-                        "batch",
-                        expired=len(batch),
-                    )
-                get_metrics().inc("gateway_empty_flushes_total")
+                self._event(
+                    "gateway.empty_flush", "batch", expired=len(batch)
+                )
+                self._metrics.inc("gateway_empty_flushes_total")
                 continue
-            task = self._loop.create_task(self._dispatch(live))
+            task = self._loop.create_task(self._serve_batch(live))
             self._dispatch_tasks.add(task)
             task.add_done_callback(self._dispatch_done)
 
@@ -1091,17 +1139,14 @@ class Gateway:
         assert self._loop is not None
         now = self._loop.time()
         live: list[_PendingRequest] = []
-        metrics = get_metrics()
         for request in batch:
             if request.expired(now):
-                with self._lock:
-                    self._stats.deadline_queued += 1
-                    self._trace.emit(
-                        "gateway.deadline",
-                        request.query.label or repr(request.query),
-                        phase="queued",
-                    )
-                metrics.inc(
+                self._event(
+                    "gateway.deadline",
+                    request.query.label or repr(request.query),
+                    phase="queued",
+                )
+                self._metrics.inc(
                     "gateway_requests_total", status="deadline_queued"
                 )
                 if not request.future.done():
@@ -1114,23 +1159,21 @@ class Gateway:
                 live.append(request)
         return live
 
-    async def _dispatch(self, batch: list[_PendingRequest]) -> None:
-        """Serve one micro-batch (failover + hedging) and deliver
-        answers, enforcing in-flight deadlines."""
+    def _deliver(
+        self,
+        batch: list[_PendingRequest],
+        report: Any = None,
+        error: GatewayError | None = None,
+    ) -> None:
+        """Resolve a batch's requests from the winning ``report`` (or
+        the batch-wide ``error``), enforcing in-flight deadlines."""
         assert self._loop is not None
-        queries = tuple(request.query for request in batch)
-        metrics = get_metrics()
-        metrics.inc("gateway_batches_total")
-        metrics.observe("gateway_batch_size", len(batch))
-        try:
-            record = await self._serve_batch(queries)
-        except GatewayError as exc:
-            now = self._loop.time()
-            for request in batch:
-                self._finish(request, now, error=exc)
-            return
         now = self._loop.time()
-        for request, outcome in zip(batch, record.report.outcomes):
+        if error is not None:
+            for request in batch:
+                self._finish(request, now, error=error)
+            return
+        for request, outcome in zip(batch, report.outcomes):
             if request.expired(now):
                 self._finish(
                     request,
@@ -1152,39 +1195,31 @@ class Gateway:
         error: Exception | None = None,
     ) -> None:
         """Resolve one request's future and record its SLO numbers."""
+        if error is None:
+            status = "ok"
+        elif isinstance(error, DeadlineExceededError):
+            status = f"deadline_{error.phase}"
+            self._event(
+                "gateway.deadline",
+                request.query.label or repr(request.query),
+                phase=error.phase,
+            )
+        else:
+            status = "failed"
         latency = now - request.enqueued_at
-        metrics = get_metrics()
+        metrics = self._metrics
         metrics.observe("gateway_request_seconds", latency)
         metrics.observe(
             "gateway_priority_request_seconds",
             latency,
             priority=request.priority,
         )
-        if error is None:
-            status = "ok"
-        elif isinstance(error, DeadlineExceededError):
-            status = f"deadline_{error.phase}"
-        else:
-            status = "failed"
         metrics.inc("gateway_requests_total", status=status)
         metrics.inc(
             "gateway_priority_requests_total",
             status=status,
             priority=request.priority,
         )
-        with self._lock:
-            self._latencies.observe(latency)
-            if status == "ok":
-                self._stats.ok += 1
-            elif status == "deadline_inflight":
-                self._stats.deadline_inflight += 1
-                self._trace.emit(
-                    "gateway.deadline",
-                    request.query.label or repr(request.query),
-                    phase="inflight",
-                )
-            elif status == "failed":
-                self._stats.failed += 1
         if request.future.done():  # pragma: no cover - defensive
             return
         if error is not None:
@@ -1200,7 +1235,7 @@ class Gateway:
             for replica in self._replicas
         ]
 
-    def _next_candidate(self, tried: set[int]) -> Replica | None:
+    def _next_candidate(self, tried: Sequence[int]) -> Replica | None:
         """Round-robin pick of an ``ACTIVE`` replica not yet tried
         for the current batch (``None`` when none remain)."""
         with self._lock:
@@ -1216,350 +1251,220 @@ class Gateway:
             self._next_replica += 1
         return active[start]
 
-    async def _attempt(
-        self, replica: Replica, queries: tuple[RangeQuery, ...]
-    ) -> tuple[str, Any]:
-        """Run one batch attempt on a dispatch thread; never raises
-        :class:`~repro.errors.ShardError` (returned as data so hedge
-        races can reap losers without exception plumbing)."""
-        assert self._loop is not None
-        try:
-            report = await self._loop.run_in_executor(
-                None, replica.serve_batch, queries
-            )
-        except ShardError as exc:
-            return ("error", exc)
-        return ("ok", report)
-
     def _hedge_delay(self) -> float | None:
         """The effective hedge delay in seconds, or ``None`` when
-        hedging is disabled (or the latency reservoir is too cold for
-        a quantile-derived delay)."""
+        hedging is disabled (or too few request latencies have been
+        observed for a quantile-derived delay)."""
         config = self._config
         if config.hedge_delay_s is not None:
             return config.hedge_delay_s
         if config.hedge_quantile is None:
             return None
-        with self._lock:
-            if self._latencies.observed < config.hedge_min_samples:
-                return None
-            return self._latencies.quantile(config.hedge_quantile)
+        latency = self._metrics.histogram("gateway_request_seconds")
+        if latency.count < config.hedge_min_samples:
+            return None
+        return latency.quantile(config.hedge_quantile)
 
-    async def _serve_batch(
-        self, queries: tuple[RangeQuery, ...]
-    ) -> GatewayBatchRecord:
-        """Serve one batch with failover and (first attempt only)
-        hedging; raises :class:`~repro.errors.AllReplicasFailedError`
-        when the fleet is exhausted."""
+    async def _serve_batch(self, batch: list[_PendingRequest]) -> None:
+        """Serve one micro-batch on the attempt schedule and deliver it.
+
+        Failover and hedging are one loop over the running attempts:
+
+        * the first ``ACTIVE`` candidate starts at once;
+        * the next candidate starts when the hedge delay passes (first
+          attempt only) or when a running attempt fails;
+        * the first success wins, and the earlier launch wins a tie;
+        * every failed attempt is a failover: it is counted and traced
+          and suspects its replica, and one that fails before the
+          answer joins the batch record;
+        * attempts still running when the batch is answered are reaped
+          onto the hedge ledger.
+
+        When no candidate is left, every request gets
+        :class:`~repro.errors.AllReplicasFailedError` listing the
+        failed attempts.  The batch keeps its in-flight slot until all
+        of its attempts have finished.
+        """
         assert self._loop is not None
-        attempts: list[tuple[int, str, str]] = []
-        failed_ids: list[int] = []
-        tried: set[int] = set()
-        hedged = False
-        hedge_replica_id: int | None = None
-        metrics = get_metrics()
-        while True:
+        loop = self._loop
+        queries = tuple(request.query for request in batch)
+        self._metrics.inc("gateway_batches_total")
+        self._metrics.observe("gateway_batch_size", len(batch))
+        tried: list[int] = []
+        running: dict[asyncio.Future, tuple[Replica, str]] = {}
+        failures: list[tuple[int, str, str]] = []
+        hedge_id: int | None = None
+        record: GatewayBatchRecord | None = None
+
+        def launch(role: str) -> Replica | None:
             replica = self._next_candidate(tried)
-            if replica is None:
-                raise AllReplicasFailedError(
-                    attempts
-                    or [(-1, "GatewayError", "no healthy replicas")]
+            if replica is not None:
+                tried.append(replica.replica_id)
+                future = loop.run_in_executor(
+                    None, replica.serve_batch, queries
                 )
-            tried.add(replica.replica_id)
-            primary_fut = asyncio.ensure_future(
-                self._attempt(replica, queries)
+                running[future] = (replica, role)
+            return replica
+
+        launch("primary")
+        delay = self._hedge_delay()
+        while running:
+            done, _ = await asyncio.wait(
+                running, timeout=delay, return_when=asyncio.FIRST_COMPLETED
             )
-            hedge_fut: asyncio.Future | None = None
-            hedge_replica: Replica | None = None
-            delay = None if (attempts or hedged) else self._hedge_delay()
-            if delay is not None:
-                done, _pending = await asyncio.wait(
-                    {primary_fut}, timeout=delay
-                )
-                if not done:
-                    hedge_replica = self._next_candidate(tried)
-                    if hedge_replica is not None:
-                        tried.add(hedge_replica.replica_id)
-                        hedged = True
-                        hedge_replica_id = hedge_replica.replica_id
-                        with self._lock:
-                            self._stats.hedges += 1
-                            self._trace.emit(
-                                "gateway.hedge",
-                                f"replica-{hedge_replica.replica_id}",
-                                primary=replica.replica_id,
-                                size=len(queries),
-                            )
-                        metrics.inc(
-                            "gateway_hedges_total", outcome="fired"
-                        )
-                        hedge_fut = asyncio.ensure_future(
-                            self._attempt(hedge_replica, queries)
-                        )
-            if hedge_fut is not None:
-                assert hedge_replica is not None
-                winner, outcome, loser = await self._race_hedge(
-                    replica, primary_fut, hedge_replica, hedge_fut
-                )
-                if winner is None:
-                    # Both sides failed; fail over past both of them.
-                    for side, fut in (
-                        (replica, primary_fut),
-                        (hedge_replica, hedge_fut),
-                    ):
-                        exc = fut.result()[1]
-                        attempts.append(
-                            (
-                                side.replica_id,
-                                type(exc).__name__,
-                                str(exc),
-                            )
-                        )
-                        failed_ids.append(side.replica_id)
-                        await self._note_failover(side, exc)
-                    metrics.inc(
-                        "gateway_hedges_total", outcome="failed"
+            if not done:  # the hedge delay passed on the first attempt
+                hedge = launch("hedge")
+                if hedge is not None:
+                    hedge_id = hedge.replica_id
+                    self._metrics.inc(
+                        "gateway_hedges_total", outcome="fired"
                     )
-                    continue
-                report = outcome[1]
-                hedge_won = winner is hedge_replica
-                if hedge_won:
+                    self._event(
+                        "gateway.hedge",
+                        f"replica-{hedge_id}",
+                        primary=tried[0],
+                        size=len(queries),
+                    )
+            delay = None
+            suspects: list[tuple[Replica, str]] = []
+            # Launch order, so the earlier launch wins a tie.
+            for future in [f for f in running if f.done()]:
+                replica, role = running.pop(future)
+                error = future.exception()
+                report = None if error is not None else future.result()
+                if error is not None:
+                    outcome = "failed"
+                    reason = type(error).__name__
+                    self._metrics.inc(
+                        "gateway_failovers_total", replica=replica.replica_id
+                    )
+                    self._event(
+                        "gateway.failover",
+                        f"replica-{replica.replica_id}",
+                        error=reason,
+                    )
+                    suspects.append((replica, reason))
+                    if record is None:
+                        failures.append(
+                            (replica.replica_id, reason, str(error))
+                        )
+                elif record is None:
+                    outcome = "won"
+                    record, tripped = self._record_batch(
+                        queries, replica, report, failures, hedge_id
+                    )
+                    self._deliver(batch, report)
+                    if tripped:
+                        suspects.append((replica, "breaker"))
+                else:
+                    outcome = "lost"
+                if role == "hedge":
+                    self._metrics.inc(
+                        "gateway_hedges_total", outcome=outcome
+                    )
+                if record is not None and hedge_id is not None:
                     with self._lock:
-                        self._stats.hedges_won += 1
-                    metrics.inc("gateway_hedges_total", outcome="won")
-                record, tripped = self._record_batch(
-                    queries,
-                    winner,
-                    report,
-                    attempts,
-                    failed_ids,
-                    hedged=True,
-                    hedge_replica_id=hedge_replica_id,
-                )
-                with self._lock:
-                    self._hedge_records.append(
-                        GatewayHedgeRecord(
-                            batch_id=record.batch_id,
-                            replica_id=winner.replica_id,
-                            role="hedge" if hedge_won else "primary",
-                            used=True,
-                            error=None,
-                            report=report,
+                        self._hedge_records.append(
+                            GatewayHedgeRecord(
+                                batch_id=record.batch_id,
+                                replica_id=replica.replica_id,
+                                role=role,
+                                used=outcome == "won",
+                                error=None if error is None else reason,
+                                report=report,
+                            )
                         )
-                    )
-                loser_replica, loser_fut = loser
-                loser_role = (
-                    "primary" if hedge_won else "hedge"
-                )
-                self._spawn_hedge_reaper(
-                    record.batch_id,
-                    loser_replica,
-                    loser_fut,
-                    loser_role,
-                )
-                if tripped:
-                    await self._suspect(winner, "breaker")
-                return record
-            kind, payload = await primary_fut
-            if kind == "ok":
-                record, tripped = self._record_batch(
-                    queries,
-                    replica,
-                    payload,
-                    attempts,
-                    failed_ids,
-                    hedged=hedged,
-                    hedge_replica_id=hedge_replica_id,
-                )
-                if tripped:
-                    await self._suspect(replica, "breaker")
-                return record
-            exc = payload
-            attempts.append(
-                (replica.replica_id, type(exc).__name__, str(exc))
+            for replica, reason in suspects:
+                await self._suspect(replica, reason)
+                if record is None:
+                    launch("failover")
+        if record is None:
+            self._deliver(
+                batch,
+                error=AllReplicasFailedError(
+                    failures
+                    or [(-1, "GatewayError", "no healthy replicas")]
+                ),
             )
-            failed_ids.append(replica.replica_id)
-            await self._note_failover(replica, exc)
-
-    async def _race_hedge(
-        self,
-        primary: Replica,
-        primary_fut: asyncio.Future,
-        hedge: Replica,
-        hedge_fut: asyncio.Future,
-    ):
-        """Race the primary and hedge attempts; return
-        ``(winner_replica, winner_outcome, (loser_replica,
-        loser_future))`` — or ``(None, None, None)`` when both sides
-        failed.  The primary wins ties."""
-        pair = ((primary, primary_fut), (hedge, hedge_fut))
-        pending = {primary_fut, hedge_fut}
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for side_replica, side_fut in pair:
-                if side_fut.done() and side_fut.result()[0] == "ok":
-                    loser = next(
-                        (r, f) for r, f in pair if f is not side_fut
-                    )
-                    return side_replica, side_fut.result(), loser
-        return None, None, None
-
-    def _spawn_hedge_reaper(
-        self,
-        batch_id: int,
-        replica: Replica,
-        future: asyncio.Future,
-        role: str,
-    ) -> None:
-        """Track the hedge loser until it completes so its work is
-        recorded (and its failure suspected) honestly."""
-        assert self._loop is not None
-        task = self._loop.create_task(
-            self._reap_hedge_loser(batch_id, replica, future, role)
-        )
-        self._hedge_tasks.add(task)
-        task.add_done_callback(self._hedge_tasks.discard)
-
-    async def _reap_hedge_loser(
-        self,
-        batch_id: int,
-        replica: Replica,
-        future: asyncio.Future,
-        role: str,
-    ) -> None:
-        """Await the losing side of a hedge race; its report (real IO
-        for an unused answer) is recorded but never billed to the
-        batch, and a loser that *failed* is suspected like any other
-        fleet fault."""
-        kind, payload = await future
-        metrics = get_metrics()
-        if kind == "ok":
-            with self._lock:
-                self._hedge_records.append(
-                    GatewayHedgeRecord(
-                        batch_id=batch_id,
-                        replica_id=replica.replica_id,
-                        role=role,
-                        used=False,
-                        error=None,
-                        report=payload,
-                    )
-                )
-            if role == "hedge":
-                metrics.inc("gateway_hedges_total", outcome="lost")
-            return
-        exc = payload
-        with self._lock:
-            self._hedge_records.append(
-                GatewayHedgeRecord(
-                    batch_id=batch_id,
-                    replica_id=replica.replica_id,
-                    role=role,
-                    used=False,
-                    error=type(exc).__name__,
-                    report=None,
-                )
-            )
-        if role == "hedge":
-            metrics.inc("gateway_hedges_total", outcome="failed")
-        await self._suspect(replica, type(exc).__name__)
-
-    async def _note_failover(
-        self, replica: Replica, exc: Exception
-    ) -> None:
-        """Count one failover and suspect the failed replica."""
-        with self._lock:
-            self._stats.failovers += 1
-            self._trace.emit(
-                "gateway.failover",
-                f"replica-{replica.replica_id}",
-                error=type(exc).__name__,
-            )
-        get_metrics().inc(
-            "gateway_failovers_total", replica=replica.replica_id
-        )
-        await self._suspect(replica, type(exc).__name__)
 
     def _record_batch(
         self,
         queries: tuple[RangeQuery, ...],
         replica: Replica,
         report: Any,
-        attempts: list[tuple[int, str, str]],
-        failed_ids: list[int],
-        hedged: bool,
-        hedge_replica_id: int | None,
+        failures: list[tuple[int, str, str]],
+        hedge_id: int | None,
     ) -> tuple[GatewayBatchRecord, bool]:
-        """Record a served batch; returns the record and whether the
-        replica's circuit breaker just tripped."""
-        tripped = False
+        """Record an answered batch and fold its per-query outcomes
+        into the winner's breaker window; returns the record and
+        whether that breaker just opened."""
+        config = self._config
         with self._lock:
-            batch_id = self._batch_counter
-            self._batch_counter += 1
-            self._stats.batches += 1
             record = GatewayBatchRecord(
-                batch_id=batch_id,
+                batch_id=self._batch_counter,
                 size=len(queries),
                 replica_id=replica.replica_id,
-                attempts=len(attempts) + 1,
-                failed_replica_ids=tuple(failed_ids),
+                attempts=len(failures) + 1,
+                failed_replica_ids=tuple(
+                    replica_id for replica_id, _, _ in failures
+                ),
                 report=report,
-                hedged=hedged,
-                hedge_replica_id=hedge_replica_id,
+                hedged=hedge_id is not None,
+                hedge_replica_id=hedge_id,
             )
+            self._batch_counter += 1
             self._batch_records.append(record)
             self._trace.emit(
                 "gateway.batch",
-                f"batch-{batch_id}",
-                size=len(queries),
-                replica=replica.replica_id,
-                attempts=len(attempts) + 1,
-                hedged=hedged,
+                f"batch-{record.batch_id}",
+                size=record.size,
+                replica=record.replica_id,
+                attempts=record.attempts,
+                hedged=record.hedged,
             )
             slot = self._slots[replica.replica_id]
-            for query, batch_outcome in zip(queries, report.outcomes):
-                ok = batch_outcome.error is None
-                slot.breaker.record(ok)
+            for query, outcome in zip(queries, report.outcomes):
+                ok = outcome.error is None
+                slot.outcomes.append(ok)
                 if (
                     ok
-                    and batch_outcome.result is not None
+                    and outcome.result is not None
                     and self._canary_ref is None
                 ):
                     self._canary_ref = (
                         query,
-                        tuple(batch_outcome.result.answer.words),
+                        tuple(outcome.result.answer.words),
                     )
-            if (
+            failed = slot.outcomes.count(False)
+            tripped = (
                 slot.state is ReplicaState.ACTIVE
-                and slot.breaker.open
-            ):
-                tripped = True
-                self._stats.breaker_opens += 1
+                and failed >= config.breaker_failures
+            )
+            if tripped:
                 self._trace.emit(
                     "gateway.breaker_open",
                     f"replica-{replica.replica_id}",
-                    failures=slot.breaker.failure_count,
-                    window=slot.breaker.window,
+                    failures=failed,
+                    window=config.breaker_window,
                 )
         if tripped:
-            get_metrics().inc("gateway_breaker_opens_total")
+            self._metrics.inc("gateway_breaker_opens_total")
         return record, tripped
 
     # ------------------------------------------------------------------
     def _set_state_locked(
         self, slot: ReplicaSlot, state: ReplicaState, reason: str
     ) -> None:
-        """Transition one slot (caller holds the gateway lock)."""
-        slot.state = state
+        """Transition one slot, clearing its breaker window (caller
+        holds the gateway lock)."""
+        slot.enter(state)
         self._trace.emit(
             "gateway.replica_state",
             f"replica-{slot.replica.replica_id}",
             to=state.value,
             reason=reason,
         )
-        get_metrics().inc(
+        self._metrics.inc(
             "gateway_replica_transitions_total", to=state.value
         )
 
@@ -1576,7 +1481,6 @@ class Gateway:
                 slot, ReplicaState.SUSPECTED, reason
             )
             slot.probe_attempts = 0
-            slot.breaker.reset()
             if self._config.max_probe_attempts > 0:
                 slot.next_probe_at = self._loop.time() + probe_backoff(
                     0,
@@ -1658,7 +1562,7 @@ class Gateway:
         passed = await self._loop.run_in_executor(
             None, self._probe_replica_sync, replica
         )
-        metrics = get_metrics()
+        metrics = self._metrics
         dead = False
         with self._lock:
             if slot.state is not ReplicaState.PROBATION:
@@ -1666,11 +1570,9 @@ class Gateway:
             if passed:
                 attempt = slot.probe_attempts
                 slot.probe_attempts = 0
-                slot.breaker.reset()
                 self._set_state_locked(
                     slot, ReplicaState.ACTIVE, "readmitted"
                 )
-                self._stats.readmissions += 1
                 self._trace.emit(
                     "gateway.readmit",
                     f"replica-{replica.replica_id}",
@@ -1817,7 +1719,9 @@ class Gateway:
         state, shed ``kind``, and ``priority``;
         ``DeadlineExceededError`` reports the ``phase`` (queued vs
         inflight) and the deadline; ``AllReplicasFailedError`` lists
-        every per-replica attempt; all carry a ``retryable`` hint.
+        every per-replica attempt; a ``WorkloadError`` (a malformed
+        range, rejected before admission) is not retryable; all carry
+        a ``retryable`` hint.
 
         ``"positions": true`` adds the matching row positions to the
         response (omitted by default — answers over wide columns are
@@ -1844,7 +1748,7 @@ class Gateway:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Serve one client connection, pipelining its requests."""
-        get_metrics().inc("gateway_connections_total")
+        self._metrics.inc("gateway_connections_total")
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
@@ -1910,7 +1814,7 @@ class Gateway:
                 "shard_id": exc.shard_id,
                 "retryable": False,
             }
-        elif isinstance(exc, GatewayClosedError):
+        elif isinstance(exc, (GatewayClosedError, WorkloadError)):
             detail = {"retryable": False}
         if detail:
             response["detail"] = detail

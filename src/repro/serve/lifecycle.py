@@ -10,11 +10,10 @@ This module holds the pieces the gateway composes into a
 * :class:`ReplicaState` — the four-state lifecycle machine
   (``ACTIVE → SUSPECTED → PROBATION → ACTIVE | DEAD``).
 * :class:`ReplicaSlot` — one replica's mutable lifecycle record
-  (state, probe bookkeeping, breaker) inside the gateway.
-* :class:`RollingBreaker` — a per-replica circuit breaker over a
-  rolling window of per-query outcomes; an open breaker feeds the
-  ``SUSPECTED`` transition so a replica that *answers* but keeps
-  erroring is taken out of rotation just like one that crashes.
+  inside the gateway: its state, probe bookkeeping, and the rolling
+  window of per-query outcomes its circuit breaker reads (a replica
+  that *answers* but keeps erroring leaves rotation just like one
+  that crashes; every state transition starts a fresh window).
 * :func:`probe_backoff` — seeded exponential backoff between
   re-admission probes (deterministic given the supervisor's RNG).
 
@@ -37,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ReplicaSlot",
     "ReplicaState",
-    "RollingBreaker",
     "probe_backoff",
 ]
 
@@ -48,10 +46,10 @@ class ReplicaState(str, Enum):
     The machine is ``ACTIVE → SUSPECTED → PROBATION → ACTIVE | DEAD``:
 
     * ``ACTIVE`` — in rotation; the gateway routes batches to it.
-    * ``SUSPECTED`` — failed a batch (:class:`~repro.errors.
-      ShardError`), failed a health scan, or tripped its circuit
-      breaker.  Out of rotation; the supervisor will probe it after a
-      seeded exponential backoff.
+    * ``SUSPECTED`` — failed a batch attempt (typically a
+      :class:`~repro.errors.ShardError`), failed a health scan, or
+      tripped its circuit breaker.  Out of rotation; the supervisor
+      will probe it after a seeded exponential backoff.
     * ``PROBATION`` — a probe is in flight: the supervisor revives the
       backend and replays a deterministic canary query, checking the
       answer bit-identical against a healthy peer's.
@@ -64,64 +62,6 @@ class ReplicaState(str, Enum):
     SUSPECTED = "suspected"
     PROBATION = "probation"
     DEAD = "dead"
-
-
-class RollingBreaker:
-    """Per-replica circuit breaker over a rolling outcome window.
-
-    Each served query contributes one ok/fail outcome; when the last
-    ``window`` outcomes contain at least ``failures`` failures the
-    breaker reads *open* and the gateway moves the replica to
-    ``SUSPECTED`` (its queries keep erroring even though the fleet
-    itself has not crashed).  Re-admission resets the window so a
-    healed replica starts clean.
-
-    Args:
-        window: rolling outcomes retained (must be >= 1).
-        failures: failures within the window that open the breaker
-            (must be >= 1 and <= ``window``).
-    """
-
-    def __init__(self, window: int, failures: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not 1 <= failures <= window:
-            raise ValueError(
-                f"failures must be in [1, {window}], got {failures}"
-            )
-        self._outcomes: deque[bool] = deque(maxlen=window)
-        self._failures_to_open = failures
-
-    @property
-    def window(self) -> int:
-        """The configured rolling-window length."""
-        return self._outcomes.maxlen or 0
-
-    @property
-    def failure_count(self) -> int:
-        """Failures currently inside the rolling window."""
-        return sum(1 for ok in self._outcomes if not ok)
-
-    @property
-    def open(self) -> bool:
-        """Whether the window holds enough failures to trip."""
-        return self.failure_count >= self._failures_to_open
-
-    def record(self, ok: bool) -> bool:
-        """Fold one per-query outcome in; return :attr:`open` after."""
-        self._outcomes.append(ok)
-        return self.open
-
-    def reset(self) -> None:
-        """Clear the window (used when a replica is re-admitted)."""
-        self._outcomes.clear()
-
-    def __repr__(self) -> str:
-        return (
-            f"RollingBreaker({self.failure_count}/"
-            f"{self._failures_to_open} failures in "
-            f"window={self.window}, open={self.open})"
-        )
 
 
 def probe_backoff(
@@ -164,9 +104,17 @@ class ReplicaSlot:
     and mutates it under its own lock; the supervisor task drives the
     state transitions.
 
+    The circuit breaker is the ``outcomes`` window: the gateway appends
+    one ok/fail outcome per served query, and once the window holds
+    ``breaker_failures`` failures the breaker has opened — the
+    ``ACTIVE → SUSPECTED`` transition.  :meth:`enter` clears the
+    window, so every state (a re-admitted replica above all) starts
+    clean.
+
     Attributes:
         replica: the replica this slot tracks.
-        breaker: the replica's rolling circuit breaker.
+        outcomes: rolling per-query outcomes (``True`` = ok), bounded
+            by ``deque(maxlen=breaker_window)``.
         state: current :class:`ReplicaState`.
         probe_attempts: failed re-admission probes since suspicion.
         next_probe_at: event-loop time before which the supervisor
@@ -176,8 +124,13 @@ class ReplicaSlot:
     """
 
     replica: "Replica"
-    breaker: RollingBreaker
+    outcomes: deque[bool]
     state: ReplicaState = ReplicaState.ACTIVE
     probe_attempts: int = 0
     next_probe_at: float = 0.0
     last_error: str = ""
+
+    def enter(self, state: ReplicaState) -> None:
+        """Move to ``state`` with a fresh outcome window."""
+        self.state = state
+        self.outcomes.clear()

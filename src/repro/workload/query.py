@@ -17,6 +17,11 @@ from ..errors import WorkloadError
 
 __all__ = ["RangeSpec", "RangeQuery", "Workload"]
 
+#: Largest range bound a query may carry.  Node spans and leaf-cost
+#: prefix sums are int64 arrays, so a larger bound would overflow
+#: inside the planner instead of failing here, typed.
+MAX_RANGE_BOUND = 2**63 - 1
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class RangeSpec:
@@ -33,6 +38,10 @@ class RangeSpec:
         if self.end < self.start:
             raise WorkloadError(
                 f"range end {self.end} precedes start {self.start}"
+            )
+        if self.end > MAX_RANGE_BOUND:
+            raise WorkloadError(
+                f"range end {self.end} exceeds {MAX_RANGE_BOUND}"
             )
 
     @property

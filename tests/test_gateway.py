@@ -45,6 +45,7 @@ from repro.serve import (
     QueryOutcome,
     Replica,
 )
+from repro.serve.gateway import HISTORY_LIMIT
 from repro.storage.accounting import IOSnapshot
 from repro.storage.cache import BufferPool
 from repro.workload.query import RangeQuery, Workload
@@ -408,6 +409,36 @@ class TestFailover:
             "ShardFailedError"
         )
 
+    def test_any_backend_exception_fails_the_attempt_over(self):
+        """An attempt fails whenever ``serve_batch`` raises, not only
+        with a ``ShardError``: the batch fails over and the error type
+        is traced (regression: other exceptions escaped the dispatch
+        task and left the batch's clients waiting forever)."""
+
+        class BuggyReplica(StubReplica):
+            def run_batch(self, queries):
+                raise RuntimeError("backend bug")
+
+        config = GatewayConfig(max_probe_attempts=0)
+
+        async def scenario():
+            async with Gateway(
+                [BuggyReplica(0), StubReplica(1)], config
+            ) as gateway:
+                result = await asyncio.wait_for(
+                    gateway.submit(QUERIES[0]), timeout=10.0
+                )
+                return result, gateway.batch_records, gateway.events
+
+        result, records, events = asyncio.run(scenario())
+        assert result.answer.words == _expected_answer(QUERIES[0]).words
+        assert records[0].failed_replica_ids == (0,)
+        assert [
+            event.attrs["error"]
+            for event in events
+            if event.kind == "gateway.failover"
+        ] == ["RuntimeError"]
+
     def test_all_replicas_failing_surfaces_every_attempt(self):
         config = GatewayConfig(max_probe_attempts=0)
 
@@ -537,6 +568,49 @@ class TestLifecycle:
             await gateway.aclose()
 
         asyncio.run(scenario())
+
+
+class TestBoundedHistory:
+    def test_history_keeps_the_newest_records_and_first_events(self):
+        """Past ``HISTORY_LIMIT`` batches the oldest batch records
+        drop out, and the trace stops growing at its first
+        ``HISTORY_LIMIT`` events."""
+        served = HISTORY_LIMIT + 5
+        config = GatewayConfig(
+            max_batch_size=1,
+            max_batch_delay_s=0.0,
+            max_queue_depth=served,
+        )
+
+        async def scenario():
+            async with Gateway([StubReplica(0)], config) as gateway:
+                await asyncio.gather(
+                    *(
+                        gateway.submit(QUERIES[index % len(QUERIES)])
+                        for index in range(served)
+                    )
+                )
+                return (
+                    gateway.batch_records,
+                    gateway.events,
+                    gateway.stats(),
+                )
+
+        records, events, stats = asyncio.run(scenario())
+        assert stats.batches == stats.ok == served
+        assert [record.batch_id for record in records] == list(
+            range(served - HISTORY_LIMIT, served)
+        )
+        assert [event.name for event in events] == [
+            f"batch-{batch_id}" for batch_id in range(HISTORY_LIMIT)
+        ]
+
+    def test_history_holds_ten_benchmark_runs(self):
+        """``hcsbench``'s ``gateway_sharded`` run records 54 batches
+        (3 warm-up, 51 timed) and slices ``batch_records`` from a
+        length taken after warm-up, so the bound must hold many runs
+        whole."""
+        assert HISTORY_LIMIT >= 10 * 54
 
 
 class TestSloMetrics:
@@ -714,6 +788,85 @@ class TestTcp:
         assert response["status"] == "ok"
         assert response["count"] == num_bits
         assert response["positions"] == list(range(num_bits))
+
+    def test_out_of_range_bounds_answer_typed_and_spare_the_replica(
+        self, materialized_setup
+    ):
+        """Range bounds past int64 are bad client input, not a replica
+        fault: each request gets a typed, non-retryable
+        ``WorkloadError`` before admission, and the replica stays
+        ACTIVE with its breaker closed.  (Four such requests used to
+        overflow inside the backend, open the breaker of the only
+        replica, and fail the next valid request with
+        ``AllReplicasFailedError``.)"""
+        _hierarchy, column, catalog = materialized_setup
+        cut = select_cut_multi(catalog, Workload(QUERIES)).cut.node_ids
+        executor = QueryExecutor(catalog, BufferPool(catalog.store))
+        replica = BatchReplica(
+            0, BatchExecutor(executor, max_workers=2), cut
+        )
+        valid = QUERIES[3]
+
+        async def scenario():
+            async with Gateway([replica]) as gateway:
+                server = await gateway.serve_tcp()
+                host, port = server.sockets[0].getsockname()[:2]
+                reader, writer = await asyncio.open_connection(
+                    host, port
+                )
+
+                async def exchange(requests):
+                    writer.write(
+                        b"".join(
+                            (json.dumps(request) + "\n").encode()
+                            for request in requests
+                        )
+                    )
+                    await writer.drain()
+                    return [
+                        json.loads(
+                            await asyncio.wait_for(
+                                reader.readline(), timeout=10.0
+                            )
+                        )
+                        for _ in requests
+                    ]
+
+                bad = await exchange(
+                    [
+                        {"id": index, "ranges": [[0, 2**63 + index]]}
+                        for index in range(4)
+                    ]
+                )
+                (good,) = await exchange(
+                    [
+                        {
+                            "id": 9,
+                            "ranges": [
+                                [spec.start, spec.end]
+                                for spec in valid.specs
+                            ],
+                        }
+                    ]
+                )
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                return bad, good, gateway.replica_states(), (
+                    gateway.stats()
+                )
+
+        bad, good, states, stats = asyncio.run(scenario())
+        for response in bad:
+            assert response["status"] == "error"
+            assert response["error"] == "WorkloadError"
+            assert response["detail"] == {"retryable": False}
+        assert states == {0: "active"}
+        assert stats.breaker_opens == 0
+        assert stats.requests_total == 1
+        assert good["status"] == "ok"
+        assert good["count"] == scan_answer(column, valid).count()
 
     def test_malformed_and_failing_requests_answer_typed(self):
         async def scenario():

@@ -14,12 +14,17 @@ driving its scenario with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
 import json
 import random
 import threading
 import time
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import QueryExecutor
 from repro.core.multi import select_cut_multi
@@ -38,11 +43,10 @@ from repro.serve import (
     Gateway,
     GatewayConfig,
     ReplicaState,
-    RollingBreaker,
 )
-from repro.serve.lifecycle import probe_backoff
+from repro.serve.lifecycle import ReplicaSlot, probe_backoff
 from repro.storage.cache import BufferPool
-from repro.workload.query import Workload
+from repro.workload.query import RangeQuery, Workload
 
 from .test_gateway import (
     QUERIES,
@@ -127,6 +131,43 @@ class ErrorOutcomeReplica(StubReplica):
         return _StubReport(outcomes)
 
 
+class ScheduledReplica(StubReplica):
+    """Answers, or raises a fleet-level failure, after a fixed delay;
+    counts its failed attempts."""
+
+    def __init__(self, replica_id: int, delay_s: float, fails: bool):
+        super().__init__(replica_id, delay_s=delay_s)
+        self.fails = fails
+        self.failed_attempts = 0
+
+    def run_batch(self, queries):
+        if not self.fails:
+            return super().run_batch(queries)
+        time.sleep(self.delay_s)
+        self.failed_attempts += 1
+        raise ShardFailedError(self.replica_id, "scheduled failure")
+
+
+class LabelFailReplica(StubReplica):
+    """Serves every batch but fails, per query, each query labelled
+    ``bad`` — the outcome stream the circuit breaker reads."""
+
+    def run_batch(self, queries):
+        report = super().run_batch(queries)
+        return _StubReport(
+            dataclasses.replace(
+                outcome,
+                result=None,
+                error=QueryFailedError(
+                    outcome.index, "ValueError", "injected", shard_id=None
+                ),
+            )
+            if query.label == "bad"
+            else outcome
+            for query, outcome in zip(queries, report.outcomes)
+        )
+
+
 async def _poll(predicate, timeout_s: float = 10.0):
     """Await ``predicate()`` turning truthy (supervisor runs in the
     same loop, so polling must yield)."""
@@ -150,31 +191,46 @@ def _assert_no_wall_clock_attrs(events) -> None:
 
 class TestLifecycleUnits:
     def test_rolling_breaker_opens_and_resets(self):
-        breaker = RollingBreaker(window=4, failures=2)
-        assert not breaker.open
-        breaker.record(True)
-        breaker.record(False)
-        assert not breaker.open
-        assert breaker.record(False) is True
-        assert breaker.open
-        assert breaker.failure_count == 2
-        # Old outcomes age out of the window.
-        for _ in range(4):
-            breaker.record(True)
-        assert not breaker.open
-        breaker.record(False)
-        breaker.record(False)
-        breaker.reset()
-        assert not breaker.open
-        assert breaker.failure_count == 0
+        """The breaker is the slot's rolling outcome window: it opens
+        at ``breaker_failures`` failures among the last
+        ``breaker_window`` query outcomes, old outcomes age out, and
+        every state transition starts a clean window."""
+        ok = RangeQuery([(0, 2)], label="ok")
+        bad = RangeQuery([(3, 5)], label="bad")
+        replica = LabelFailReplica(0)
+        config = GatewayConfig(
+            breaker_window=4, breaker_failures=2, max_probe_attempts=0
+        )
+
+        async def scenario():
+            async with Gateway([replica], config) as gateway:
+                opens = []
+                for query in (ok, bad, ok, ok, ok, ok, bad, bad):
+                    with contextlib.suppress(QueryFailedError):
+                        await gateway.submit(query)
+                    opens.append(gateway.stats().breaker_opens)
+                return opens, gateway.replica_states(), gateway.events
+
+        opens, states, events = asyncio.run(scenario())
+        # The first failure ages out of the window (four oks follow
+        # it), so the second alone does not open the breaker; the
+        # third makes two failures in the window and does.
+        assert opens == [0, 0, 0, 0, 0, 0, 0, 1]
+        assert states == {0: "dead"}
+        (trip,) = [e for e in events if e.kind == "gateway.breaker_open"]
+        assert trip.attrs == {"failures": 2, "window": 4}
+        slot = ReplicaSlot(replica, deque([True, False], maxlen=4))
+        slot.enter(ReplicaState.SUSPECTED)
+        assert slot.state is ReplicaState.SUSPECTED
+        assert not slot.outcomes
 
     def test_breaker_validation(self):
         with pytest.raises(ValueError):
-            RollingBreaker(window=0, failures=1)
+            GatewayConfig(breaker_window=0, breaker_failures=1)
         with pytest.raises(ValueError):
-            RollingBreaker(window=4, failures=0)
+            GatewayConfig(breaker_window=4, breaker_failures=0)
         with pytest.raises(ValueError):
-            RollingBreaker(window=2, failures=3)
+            GatewayConfig(breaker_window=2, breaker_failures=3)
 
     def test_probe_backoff_doubles_and_caps(self):
         rng = random.Random(0)
@@ -547,17 +603,17 @@ class TestHedging:
 
     def test_hedge_delay_derives_from_latency_quantile(self):
         """Without a fixed override the hedge delay comes from the
-        gateway's own latency reservoir — disabled until the
-        reservoir has seen ``hedge_min_samples`` requests."""
+        gateway's own request-latency histogram — disabled until it
+        has seen ``hedge_min_samples`` requests."""
         config = GatewayConfig(
             hedge_quantile=0.75, hedge_min_samples=4
         )
         gateway = Gateway([StubReplica(0)], config)
         assert gateway._hedge_delay() is None
         for value in (0.010, 0.020, 0.030):
-            gateway._latencies.observe(value)
+            gateway.metrics.observe("gateway_request_seconds", value)
         assert gateway._hedge_delay() is None
-        gateway._latencies.observe(0.040)
+        gateway.metrics.observe("gateway_request_seconds", 0.040)
         assert gateway._hedge_delay() == pytest.approx(0.030)
 
     def test_fixed_delay_overrides_quantile(self):
@@ -571,8 +627,76 @@ class TestHedging:
 
     def test_hedging_disabled_by_default(self):
         gateway = Gateway([StubReplica(0)])
-        gateway._latencies.observe(0.01)
+        gateway.metrics.observe("gateway_request_seconds", 0.01)
         assert gateway._hedge_delay() is None
+
+
+class TestAttemptSchedule:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        plans=st.lists(
+            st.tuples(st.integers(0, 8), st.booleans()),
+            min_size=2,
+            max_size=3,
+        ),
+        hedging=st.booleans(),
+    )
+    def test_schedule_invariants_hold_under_any_timing(
+        self, plans, hedging
+    ):
+        """Failover and hedging as one schedule, over replicas that
+        each answer or fail after a few milliseconds: only facts that
+        hold whatever the interleaving are asserted.  This reaches an
+        attempt failing while its hedge twin runs, and both failing."""
+        replicas = [
+            ScheduledReplica(replica_id, delay_ms / 1000, fails)
+            for replica_id, (delay_ms, fails) in enumerate(plans)
+        ]
+        config = GatewayConfig(
+            hedge_delay_s=0.002 if hedging else None,
+            max_probe_attempts=0,
+        )
+        query = QUERIES[1]
+
+        async def scenario():
+            gateway = Gateway(replicas, config)
+            async with gateway:
+                try:
+                    answer = await gateway.submit(query)
+                except AllReplicasFailedError as exc:
+                    answer = exc
+            # aclose() waited for every attempt, reaped ones included.
+            return answer, gateway
+
+        with collecting_metrics() as metrics:
+            answer, gateway = asyncio.run(scenario())
+        failed = sum(replica.failed_attempts for replica in replicas)
+        assert metrics.counter_sum("gateway_failovers_total") == failed
+        assert gateway.stats().failovers == failed
+        failover_ids = [
+            int(event.name.removeprefix("replica-"))
+            for event in gateway.events
+            if event.kind == "gateway.failover"
+        ]
+        ledger = gateway.hedge_records
+        if all(fails for _delay, fails in plans):
+            assert isinstance(answer, AllReplicasFailedError)
+            ids = [replica_id for replica_id, _, _ in answer.attempts]
+            assert sorted(ids) == list(range(len(plans)))
+            assert ids == failover_ids
+            assert gateway.batch_records == ()
+            return
+        assert answer.answer.words == _expected_answer(query).words
+        (record,) = gateway.batch_records
+        assert record.attempts == len(record.failed_replica_ids) + 1
+        assert not replicas[record.replica_id].fails
+        assert all(row.batch_id == record.batch_id for row in ledger)
+        if record.hedged:
+            (used,) = [row for row in ledger if row.used]
+            assert used.replica_id == record.replica_id
+            assert used.report is record.report
+        else:
+            assert ledger == ()
 
 
 class TestPriorityAdmission:

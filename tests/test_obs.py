@@ -182,6 +182,17 @@ class TestMetricsRegistry:
         assert metrics.counter("hits_total", tier="pinned") == 1
         assert metrics.counter("hits_total") == 0
 
+    def test_counter_sum_adds_matching_label_sets(self):
+        metrics = MetricsRegistry()
+        metrics.inc("sheds_total", priority="low", kind="refused")
+        metrics.inc("sheds_total", 2, priority="low", kind="evicted")
+        metrics.inc("sheds_total", priority="high", kind="refused")
+        metrics.inc("other_total", priority="low")
+        assert metrics.counter_sum("sheds_total") == 4
+        assert metrics.counter_sum("sheds_total", priority="low") == 3
+        assert metrics.counter_sum("sheds_total", kind="refused") == 2
+        assert metrics.counter_sum("sheds_total", priority="none") == 0
+
     def test_histograms_summarize(self):
         metrics = MetricsRegistry()
         for value in (1.0, 3.0, 2.0):

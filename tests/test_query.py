@@ -23,6 +23,17 @@ class TestRangeSpec:
         with pytest.raises(WorkloadError):
             RangeSpec(5, 4)
 
+    def test_bounds_past_int64_are_rejected(self):
+        """A bound the planner's int64 arrays cannot hold fails typed
+        at construction, not with ``OverflowError`` mid-plan."""
+        assert RangeSpec(0, 2**63 - 1).num_leaves == 2**63
+        with pytest.raises(WorkloadError):
+            RangeSpec(0, 2**63)
+        with pytest.raises(WorkloadError):
+            RangeSpec(2**63, 2**64)
+        with pytest.raises(WorkloadError):
+            RangeQuery([(0, 2), (5, 2**63)])
+
     def test_overlap(self):
         spec = RangeSpec(10, 20)
         assert spec.overlap(0, 9) == 0
