@@ -1,8 +1,9 @@
-"""Micro-benchmark: vectorized WAH kernels vs. the scalar reference.
+"""Micro-benchmark: WAH array kernels vs. the per-word reference.
 
 Times the operations the query executor bottoms out in — k-way
-``union_all``, pairwise OR / ANDNOT, complement, and ``count`` — with
-the numpy kernel path against the scalar per-word reference, asserting
+``union_all``, pairwise OR / ANDNOT, complement, and ``count`` — on
+:class:`~repro.bitmap.wah.WahBitmap` (the numpy kernels) against the
+scalar per-word reference in ``tests/wah_reference.py``, asserting
 bit-identical results, and records the timings in ``BENCH_wah.json``
 at the repository root so later PRs have a performance trajectory.
 
@@ -26,8 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bitmap import kernels
 from repro.bitmap.wah import WahBitmap
+from tests.wah_reference import ReferenceWah
 
 MODE = (
     os.environ.get("WAH_BENCH_MODE", "full").strip().lower() or "full"
@@ -61,15 +62,6 @@ def _fresh_bitmaps(count: int) -> list[WahBitmap]:
     ]
 
 
-def _strip_word_cache(bitmaps: list[WahBitmap]) -> list[WahBitmap]:
-    """Rebuild the operands so kernel timings include the one-time
-    word-list -> array decode (cold-cache, worst case for the kernel)."""
-    return [
-        WahBitmap(list(bitmap._words), bitmap.num_bits)
-        for bitmap in bitmaps
-    ]
-
-
 def _time(fn, repeats: int = 3) -> tuple[float, object]:
     best = float("inf")
     result = None
@@ -100,17 +92,13 @@ def test_union_all_kway():
     """The acceptance-criterion case: 64-way union of 1M-bit operands."""
     _RECORDS["num_bitmaps"] = NUM_BITMAPS
     operands = _fresh_bitmaps(NUM_BITMAPS)
-    with kernels.use_kernel_mode("numpy"):
-        kernel_s, kernel_result = _time(
-            lambda: WahBitmap.union_all(
-                _strip_word_cache(operands)
-            ),
-            repeats=3,
-        )
-    with kernels.use_kernel_mode("scalar"):
-        scalar_s, scalar_result = _time(
-            lambda: WahBitmap.union_all(operands), repeats=1
-        )
+    references = [ReferenceWah.of(bitmap) for bitmap in operands]
+    kernel_s, kernel_result = _time(
+        lambda: WahBitmap.union_all(operands), repeats=3
+    )
+    scalar_s, scalar_result = _time(
+        lambda: ReferenceWah.union_all(references), repeats=1
+    )
     assert kernel_result.words == scalar_result.words
     _record("union_all", scalar_s, kernel_s)
     if not CHECK_MODE:
@@ -130,28 +118,20 @@ def test_pairwise_ops(op_name):
         "xor": lambda x, y: x ^ y,
     }
     op = ops[op_name]
-    with kernels.use_kernel_mode("numpy"):
-        kernel_s, kernel_result = _time(
-            lambda: op(*_strip_word_cache([a, b]))
-        )
-    with kernels.use_kernel_mode("scalar"):
-        scalar_s, scalar_result = _time(lambda: op(a, b))
+    ref_a, ref_b = ReferenceWah.of(a), ReferenceWah.of(b)
+    kernel_s, kernel_result = _time(lambda: op(a, b))
+    scalar_s, scalar_result = _time(lambda: op(ref_a, ref_b))
     assert kernel_result.words == scalar_result.words
     _record(f"pairwise_{op_name}", scalar_s, kernel_s)
 
 
 def test_invert_and_count():
     (bitmap,) = _fresh_bitmaps(1)
-    with kernels.use_kernel_mode("numpy"):
-        kernel_inv_s, kernel_inv = _time(
-            lambda: ~_strip_word_cache([bitmap])[0]
-        )
-        kernel_cnt_s, kernel_cnt = _time(
-            lambda: _strip_word_cache([bitmap])[0].count()
-        )
-    with kernels.use_kernel_mode("scalar"):
-        scalar_inv_s, scalar_inv = _time(lambda: ~bitmap)
-        scalar_cnt_s, scalar_cnt = _time(bitmap.count)
+    reference = ReferenceWah.of(bitmap)
+    kernel_inv_s, kernel_inv = _time(lambda: ~bitmap)
+    kernel_cnt_s, kernel_cnt = _time(bitmap.count)
+    scalar_inv_s, scalar_inv = _time(lambda: ~reference)
+    scalar_cnt_s, scalar_cnt = _time(reference.count)
     assert kernel_inv.words == scalar_inv.words
     assert kernel_cnt == scalar_cnt
     _record("invert", scalar_inv_s, kernel_inv_s)

@@ -7,13 +7,6 @@ from .builder import (
     build_span_bitmap,
 )
 from .index import HierarchicalBitmapIndex
-from .kernels import (
-    KERNEL_MODES,
-    kernel_mode,
-    kernels_enabled,
-    set_kernel_mode,
-    use_kernel_mode,
-)
 from .plain import PlainBitmap
 from .roaring import (
     ARRAY_CONTAINER_LIMIT,
@@ -62,9 +55,4 @@ __all__ = [
     "RoaringBitmap",
     "CHUNK_BITS",
     "ARRAY_CONTAINER_LIMIT",
-    "KERNEL_MODES",
-    "kernel_mode",
-    "kernels_enabled",
-    "set_kernel_mode",
-    "use_kernel_mode",
 ]

@@ -1,42 +1,36 @@
-"""Vectorized WAH kernels: bulk run-array operations over word streams.
+"""WAH kernels: bulk run-array operations over ``np.uint32`` word arrays.
 
-The scalar :class:`~repro.bitmap.wah.WahBitmap` operations walk the
-compressed word stream one code word at a time in Python, dispatching a
-lambda per 31-bit group.  That per-word interpreter is the hot path of
-every query this reproduction executes (all plan algebra bottoms out in
-OR / ANDNOT merges), so this module re-implements the same algebra as
-bulk numpy segment operations:
+Every :class:`~repro.bitmap.wah.WahBitmap` operation bottoms out in one
+function here.  Each takes canonical WAH code words as an ``np.uint32``
+array and returns one, working on whole numpy arrays instead of one
+code word at a time:
 
-1. **decode** a word stream once into two parallel ``int64`` arrays —
+1. **decode** a word array once into two parallel ``int64`` arrays —
    ``lengths`` (groups covered by each run) and ``payloads`` (the 31-bit
    payload replicated across the run: ``0`` / ``0x7FFFFFFF`` for fills,
    the literal word otherwise);
-2. **merge** two (or ``k``) run arrays group-aligned by intersecting
-   their cumulative group boundaries with ``searchsorted`` and applying
-   the bitwise op to whole payload arrays at once;
-3. **re-encode** canonically — uniform segments collapse into fill
-   words, adjacent same-value fills merge, and oversized fills split at
-   the 2^30-1 group limit — producing *bit-identical* word streams to
-   the scalar encoder.
+2. **operate** on the run arrays: merge two (or ``k``) of them
+   group-aligned by intersecting their cumulative group boundaries with
+   ``searchsorted`` and applying the bitwise op to whole payload arrays,
+   or shift one by a seam offset to append it to another;
+3. **re-encode** canonically with :func:`encode_runs` — uniform
+   segments collapse into fill words, adjacent same-value fills merge,
+   and oversized fills split at the 2^30-1 group limit — so equal bits
+   always give equal words.
 
 The invariant the merge step relies on: a decoded run with a
 non-uniform payload always covers exactly one group (it came from a
 literal word), so any merged segment wider than one group is covered by
 fills on every input and therefore has a uniform result payload.
 
-Kernel dispatch is controlled by :func:`kernel_mode` (default
-``"numpy"``); the scalar implementation is kept as a reference oracle
-and can be forced with ``REPRO_WAH_KERNELS=scalar`` in the environment,
-:func:`set_kernel_mode`, or the :func:`use_kernel_mode` context manager
-(the property suite in ``tests/test_wah_kernels.py`` asserts word-level
-equality between the two paths).
+The per-word implementation these kernels replaced lives on as the test
+oracle in ``tests/wah_reference.py``; the property suites assert
+word-level equality with it for every operation.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,16 +43,15 @@ __all__ = [
     "FILL_VALUE_BIT",
     "FILL_COUNT_MASK",
     "MAX_FILL_GROUPS",
-    "KERNEL_MODES",
-    "kernel_mode",
-    "set_kernel_mode",
-    "kernels_enabled",
-    "use_kernel_mode",
     "decode_words",
     "encode_runs",
     "binary_words",
     "union_all_words",
     "invert_words",
+    "concat_words",
+    "positions_to_words",
+    "words_to_positions",
+    "word_bit",
     "count_words",
     "popcount32",
 ]
@@ -70,62 +63,12 @@ FILL_VALUE_BIT = 1 << 30
 FILL_COUNT_MASK = (1 << 30) - 1
 MAX_FILL_GROUPS = FILL_COUNT_MASK
 
-#: Recognized dispatch modes: ``numpy`` (vectorized kernels, default)
-#: and ``scalar`` (the original per-word reference implementation).
-KERNEL_MODES = ("numpy", "scalar")
-
-_ENV_VAR = "REPRO_WAH_KERNELS"
-
-
-def _initial_mode() -> str:
-    raw = os.environ.get(_ENV_VAR, "numpy").strip().lower()
-    return raw if raw in KERNEL_MODES else "numpy"
-
-
-_mode = _initial_mode()
-
-
-def kernel_mode() -> str:
-    """The active dispatch mode: ``"numpy"`` or ``"scalar"``."""
-    return _mode
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Set the dispatch mode; returns the previous mode.
-
-    ``"numpy"`` routes WAH operations through the vectorized kernels;
-    ``"scalar"`` forces the original per-word reference implementation.
-    """
-    global _mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    previous = _mode
-    _mode = mode
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """Whether the vectorized kernel path is active."""
-    return _mode == "numpy"
-
-
-@contextmanager
-def use_kernel_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch the dispatch mode (restores on exit)."""
-    previous = set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
-
 
 # ----------------------------------------------------------------------
-# Decode / encode between word streams and run arrays
+# Decode / encode between word arrays and run arrays
 # ----------------------------------------------------------------------
 def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a WAH word stream into ``(lengths, payloads)`` run arrays.
+    """Decode a WAH word array into ``(lengths, payloads)`` run arrays.
 
     ``lengths[i]`` is the number of 31-bit groups run ``i`` covers and
     ``payloads[i]`` the payload of every group in the run (``0`` or
@@ -153,33 +96,29 @@ def _split_oversized_fills(
     lengths: np.ndarray,
     payloads: np.ndarray,
     uniform: np.ndarray,
-) -> list[int]:
-    """Slow path of :func:`encode_runs`: some fill exceeds the 30-bit
-    group count, so emit ``MAX_FILL_GROUPS``-sized words first and the
-    remainder last, exactly like the scalar encoder's split loop."""
-    words: list[int] = []
-    for length, payload, is_uniform in zip(
-        lengths.tolist(), payloads.tolist(), uniform.tolist()
-    ):
-        if not is_uniform:
-            words.append(payload)
-            continue
-        value_bit = FILL_VALUE_BIT if payload else 0
-        remaining = length
-        while remaining > 0:
-            take = min(remaining, MAX_FILL_GROUPS)
-            words.append(FILL_FLAG | value_bit | take)
-            remaining -= take
-    return words
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every fill longer than the 30-bit group count into
+    ``MAX_FILL_GROUPS``-sized pieces followed by the remainder, the
+    canonical order in which fills merge up to their limit."""
+    pieces = np.where(uniform, -(-lengths // MAX_FILL_GROUPS), 1)
+    first_piece = np.cumsum(pieces) - pieces
+    piece_index = np.arange(int(pieces.sum())) - np.repeat(
+        first_piece, pieces
+    )
+    lengths = np.minimum(
+        np.repeat(lengths, pieces) - piece_index * MAX_FILL_GROUPS,
+        MAX_FILL_GROUPS,
+    )
+    return lengths, np.repeat(payloads, pieces), np.repeat(uniform, pieces)
 
 
-def encode_runs(lengths, payloads) -> list[int]:
-    """Canonically encode run arrays back into a WAH word list.
+def encode_runs(lengths, payloads) -> np.ndarray:
+    """Canonically encode run arrays into a ``np.uint32`` word array.
 
-    Produces the exact word stream the scalar :class:`_WahEncoder`
-    would: uniform payloads become fill words, adjacent fills of the
-    same value merge (splitting at ``MAX_FILL_GROUPS``), and every
-    non-uniform group becomes one literal word.
+    Uniform payloads become fill words, adjacent fills of the same value
+    merge (splitting at ``MAX_FILL_GROUPS``), and every non-uniform group
+    becomes one literal word.  Zero-length runs are dropped, so callers
+    may pass runs that turned out empty.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     payloads = np.asarray(payloads, dtype=np.int64)
@@ -189,7 +128,7 @@ def encode_runs(lengths, payloads) -> list[int]:
         payloads = payloads[keep]
     n = lengths.size
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.uint32)
     uniform = (payloads == 0) | (payloads == LITERAL_PAYLOAD_MASK)
     if bool(np.any(~uniform & (lengths > 1))):
         # Defensive: a multi-group run with a non-uniform payload can
@@ -215,7 +154,7 @@ def encode_runs(lengths, payloads) -> list[int]:
     grp_payloads = payloads[idx]
     grp_uniform = uniform[idx]
     if bool(np.any(grp_uniform & (grp_lengths > MAX_FILL_GROUPS))):
-        return _split_oversized_fills(
+        grp_lengths, grp_payloads, grp_uniform = _split_oversized_fills(
             grp_lengths, grp_payloads, grp_uniform
         )
     fill_words = (
@@ -225,7 +164,7 @@ def encode_runs(lengths, payloads) -> list[int]:
         | grp_lengths
     )
     out = np.where(grp_uniform, fill_words, grp_payloads)
-    return out.astype(np.uint32).tolist()
+    return out.astype(np.uint32)
 
 
 def _union_bounds(
@@ -260,11 +199,11 @@ _BINARY_OPS = {
 }
 
 
-def binary_words(words_a, words_b, op: str) -> list[int]:
-    """Merge two word streams group-aligned under a named bitwise op.
+def binary_words(words_a, words_b, op: str) -> np.ndarray:
+    """Merge two word arrays group-aligned under a named bitwise op.
 
     ``op`` is one of ``and`` / ``or`` / ``xor`` / ``andnot``.  Both
-    streams must cover the same number of 31-bit groups.
+    arrays must cover the same number of 31-bit groups.
     """
     try:
         op_func = _BINARY_OPS[op]
@@ -283,7 +222,7 @@ def binary_words(words_a, words_b, op: str) -> list[int]:
             "operand word streams cover different group counts"
         )
     if total_a == 0:
-        return []
+        return np.empty(0, dtype=np.uint32)
     bounds = _union_bounds([ends_a, ends_b], total_a)
     left = payloads_a[np.searchsorted(ends_a, bounds, side="left")]
     right = payloads_b[np.searchsorted(ends_b, bounds, side="left")]
@@ -292,8 +231,8 @@ def binary_words(words_a, words_b, op: str) -> list[int]:
     return encode_runs(seg_lengths, out)
 
 
-def union_all_words(word_streams: Sequence) -> list[int]:
-    """OR together any number of word streams in one k-way bulk merge.
+def union_all_words(word_streams: Sequence) -> np.ndarray:
+    """OR together any number of word arrays in one k-way bulk merge.
 
     The merged segment boundaries are the union of every stream's run
     boundaries; each stream then contributes its payloads to all
@@ -301,7 +240,7 @@ def union_all_words(word_streams: Sequence) -> list[int]:
     accumulates across streams as whole-array ops.  A merged segment
     wider than one group is covered by fills in *every* stream, so the
     accumulated payload is uniform there and the final
-    :func:`encode_runs` yields the canonical word stream.
+    :func:`encode_runs` yields the canonical word array.
     """
     if not word_streams:
         raise ValueError("union_all_words requires at least one stream")
@@ -317,7 +256,7 @@ def union_all_words(word_streams: Sequence) -> list[int]:
         )
     total_groups = totals.pop()
     if total_groups == 0:
-        return []
+        return np.empty(0, dtype=np.uint32)
     bounds = _union_bounds(ends, total_groups)
     acc: np.ndarray | None = None
     for stream_ends, (_lengths, payloads) in zip(ends, runs):
@@ -333,8 +272,19 @@ def union_all_words(word_streams: Sequence) -> list[int]:
     return encode_runs(seg_lengths, acc)
 
 
-def invert_words(words, num_bits: int) -> list[int]:
-    """Complement a word stream over ``num_bits`` logical bits.
+def _split_last_group(
+    lengths: np.ndarray, payloads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the run arrays whose final group is a run of its own,
+    so the caller can rewrite that (partial) group's payload."""
+    lengths = np.append(lengths, 1)
+    payloads = np.append(payloads, payloads[-1])
+    lengths[-2] -= 1
+    return lengths, payloads
+
+
+def invert_words(words, num_bits: int) -> np.ndarray:
+    """Complement a word array over ``num_bits`` logical bits.
 
     Flips every payload and re-clears the zero-padding of the final
     partial group, preserving the canonical-form invariant.
@@ -343,15 +293,116 @@ def invert_words(words, num_bits: int) -> list[int]:
     payloads = ~payloads & LITERAL_PAYLOAD_MASK
     tail_bits = num_bits % WORD_PAYLOAD_BITS
     if tail_bits and lengths.size:
-        tail_mask = (1 << tail_bits) - 1
-        if lengths[-1] == 1:
-            payloads[-1] &= tail_mask
-        else:
-            masked = int(payloads[-1]) & tail_mask
-            lengths = np.append(lengths, 1)
-            lengths[-2] -= 1
-            payloads = np.append(payloads, masked)
+        lengths, payloads = _split_last_group(lengths, payloads)
+        payloads[-1] &= (1 << tail_bits) - 1
     return encode_runs(lengths, payloads)
+
+
+def concat_words(head, head_bits: int, tail, tail_bits: int) -> np.ndarray:
+    """Append ``tail``'s bits after the first ``head_bits`` bits.
+
+    With ``r = head_bits % 31`` every tail group shifts left by ``r``
+    bits: its low ``31 - r`` bits fill the rest of a group and its top
+    ``r`` bits carry into the next.  Inside a fill that is the fill
+    itself, so each tail run of ``L`` groups becomes one *seam* group,
+    ``(p << r) | (p_previous >> (31 - r))``, followed by ``L - 1`` groups
+    of its own payload.  The first seam ORs into the head's partial last
+    group, and a final carry group holds the last run's top bits when the
+    total length needs it.  The cost is ``O(runs)``, never ``O(set bits)``.
+    """
+    head_lengths, head_payloads = decode_words(head)
+    tail_lengths, tail_payloads = decode_words(tail)
+    r = head_bits % WORD_PAYLOAD_BITS
+    if r == 0 or tail_lengths.size == 0:
+        return encode_runs(
+            np.concatenate((head_lengths, tail_lengths)),
+            np.concatenate((head_payloads, tail_payloads)),
+        )
+    carried = np.concatenate(([0], tail_payloads[:-1])) >> (
+        WORD_PAYLOAD_BITS - r
+    )
+    seams = ((tail_payloads << r) & LITERAL_PAYLOAD_MASK) | carried
+    head_lengths, head_payloads = _split_last_group(
+        head_lengths, head_payloads
+    )
+    head_payloads[-1] |= seams[0]
+    # Run i contributes [seam_i x 1, p_i x (L_i - 1)]; seam_0 is merged.
+    run_lengths = np.column_stack((np.ones_like(tail_lengths),
+                                   tail_lengths - 1)).ravel()[1:]
+    run_payloads = np.column_stack((seams, tail_payloads)).ravel()[1:]
+    head_groups = -(-head_bits // WORD_PAYLOAD_BITS)
+    tail_groups = int(tail_lengths.sum())
+    total_groups = -(-(head_bits + tail_bits) // WORD_PAYLOAD_BITS)
+    carry_groups = total_groups - (head_groups + tail_groups - 1)
+    return encode_runs(
+        np.concatenate((head_lengths, run_lengths, [carry_groups])),
+        np.concatenate((
+            head_payloads,
+            run_payloads,
+            [tail_payloads[-1] >> (WORD_PAYLOAD_BITS - r)],
+        )),
+    )
+
+
+# ----------------------------------------------------------------------
+# Positions
+# ----------------------------------------------------------------------
+def positions_to_words(positions, num_bits: int) -> np.ndarray:
+    """Encode sorted, unique, in-range set-bit positions as words.
+
+    The positions are grouped into 31-bit literal payloads with one
+    ``bitwise_or.reduceat``; the runs handed to :func:`encode_runs` are
+    the zero gap before each literal group, the literal, and the zero
+    gap after the last one.
+    """
+    total_groups = -(-num_bits // WORD_PAYLOAD_BITS)
+    group_ids = positions // WORD_PAYLOAD_BITS
+    bits = np.left_shift(1, positions % WORD_PAYLOAD_BITS)
+    first = np.flatnonzero(np.diff(group_ids, prepend=-1))
+    groups = group_ids[first]
+    literals = np.bitwise_or.reduceat(bits, first)
+    gaps = np.diff(groups, prepend=-1) - 1
+    lengths = np.column_stack((gaps, np.ones_like(gaps))).ravel()
+    payloads = np.column_stack((np.zeros_like(literals), literals)).ravel()
+    last = int(groups[-1]) if groups.size else -1
+    return encode_runs(
+        np.append(lengths, total_groups - last - 1),
+        np.append(payloads, 0),
+    )
+
+
+def words_to_positions(words) -> np.ndarray:
+    """Sorted ``int64`` array of the set-bit positions of a word array.
+
+    1-fills expand to one payload per group with ``np.repeat``, and
+    every set group's 31 payload bits unpack with ``np.unpackbits``.
+    """
+    lengths, payloads = decode_words(words)
+    starts = np.cumsum(lengths) - lengths
+    set_runs = payloads != 0
+    lengths = lengths[set_runs]
+    first_slot = np.cumsum(lengths) - lengths
+    group_payloads = np.repeat(payloads[set_runs], lengths)
+    groups = np.arange(group_payloads.size) + np.repeat(
+        starts[set_runs] - first_slot, lengths
+    )
+    bits = np.unpackbits(
+        group_payloads.astype("<u4").view(np.uint8), bitorder="little"
+    ).reshape(-1, 32)[:, :WORD_PAYLOAD_BITS]
+    rows, offsets = np.nonzero(bits)
+    return groups[rows] * WORD_PAYLOAD_BITS + offsets
+
+
+def word_bit(words, position: int) -> bool:
+    """Whether bit ``position`` is set in a word array."""
+    lengths, payloads = decode_words(words)
+    group, offset = divmod(position, WORD_PAYLOAD_BITS)
+    run = int(np.searchsorted(np.cumsum(lengths), group, side="right"))
+    if run == lengths.size:
+        raise BitmapDecodeError(
+            "bitmap words do not cover the logical length"
+        )
+    return bool((int(payloads[run]) >> offset) & 1)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +430,7 @@ def popcount32(arr: np.ndarray) -> np.ndarray:
 
 
 def count_words(words) -> int:
-    """Number of set bits in a word stream (bulk popcount)."""
+    """Number of set bits in a word array (bulk popcount)."""
     lengths, payloads = decode_words(words)
     if lengths.size == 0:
         return 0

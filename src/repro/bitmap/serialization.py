@@ -86,8 +86,10 @@ def _frame(codec: int, num_bits: int, count: int, body: bytes) -> bytes:
 
 def _unframe(
     payload: bytes, expect_codec: int | None = None
-) -> tuple[int, int, int, bytes]:
-    """Validate a frame and return ``(codec, num_bits, count, body)``.
+) -> tuple[int, int, int]:
+    """Validate a frame and return ``(codec, num_bits, count)``.
+
+    The body starts at ``HEADER_SIZE_BYTES`` (see :func:`_body`).
 
     Raises :class:`BitmapDecodeError` for structural problems and
     :class:`ChecksumError` when the frame parses but the CRC disagrees.
@@ -127,16 +129,20 @@ def _unframe(
     (stored_crc,) = _TRAILER.unpack_from(
         payload, len(payload) - TRAILER_SIZE_BYTES
     )
-    actual_crc = zlib.crc32(payload[: len(payload) - TRAILER_SIZE_BYTES])
+    actual_crc = zlib.crc32(memoryview(payload)[:-TRAILER_SIZE_BYTES])
     if stored_crc != actual_crc:
         raise ChecksumError(stored_crc, actual_crc)
-    body = payload[HEADER_SIZE_BYTES : len(payload) - TRAILER_SIZE_BYTES]
-    return codec, int(num_bits), int(count), body
+    return codec, int(num_bits), int(count)
+
+
+def _body(payload: bytes) -> memoryview:
+    """The codec-specific bytes of a frame, without a copy."""
+    return memoryview(payload)[HEADER_SIZE_BYTES:-TRAILER_SIZE_BYTES]
 
 
 def verify_frame(payload: bytes) -> int:
     """Cheap integrity check without decoding; returns the codec id."""
-    codec, _num_bits, _count, _body = _unframe(payload)
+    codec, _num_bits, _count = _unframe(payload)
     return codec
 
 
@@ -158,17 +164,22 @@ def codec_name(codec: int) -> str:
 # ----------------------------------------------------------------------
 def serialize_wah(bitmap: WahBitmap) -> bytes:
     """Serialize a :class:`WahBitmap` to its on-disk byte representation."""
-    words = np.asarray(bitmap.words, dtype=np.uint32)
+    words = bitmap._words.astype("<u4", copy=False)
     return _frame(
         CODEC_WAH, bitmap.num_bits, words.size, words.tobytes()
     )
 
 
 def deserialize_wah(payload: bytes) -> WahBitmap:
-    """Parse bytes produced by :func:`serialize_wah` back into a bitmap."""
-    _codec, num_bits, num_words, body = _unframe(payload, CODEC_WAH)
-    words = np.frombuffer(body, dtype="<u4", count=num_words)
-    return WahBitmap([int(word) for word in words], num_bits)
+    """Parse bytes produced by :func:`serialize_wah` back into a bitmap.
+
+    The bitmap's words are a read-only view of the verified payload.
+    """
+    _codec, num_bits, num_words = _unframe(payload, CODEC_WAH)
+    words = np.frombuffer(
+        payload, dtype="<u4", count=num_words, offset=HEADER_SIZE_BYTES
+    )
+    return WahBitmap(words, num_bits)
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +197,10 @@ def deserialize_plwah(payload: bytes):
     """Parse bytes produced by :func:`serialize_plwah`."""
     from .plwah import PlwahBitmap, plwah_decode
 
-    _codec, num_bits, num_words, body = _unframe(payload, CODEC_PLWAH)
-    words = np.frombuffer(body, dtype="<u4", count=num_words)
+    _codec, num_bits, num_words = _unframe(payload, CODEC_PLWAH)
+    words = np.frombuffer(
+        payload, dtype="<u4", count=num_words, offset=HEADER_SIZE_BYTES
+    )
     wah_words = plwah_decode(int(word) for word in words)
     return PlwahBitmap(WahBitmap(wah_words, num_bits))
 
@@ -226,9 +239,8 @@ def deserialize_roaring(payload: bytes):
     """Parse bytes produced by :func:`serialize_roaring`."""
     from .roaring import RoaringBitmap
 
-    _codec, num_bits, num_chunks, body = _unframe(
-        payload, CODEC_ROARING
-    )
+    _codec, num_bits, num_chunks = _unframe(payload, CODEC_ROARING)
+    body = _body(payload)
     chunks: list[tuple[int, str, np.ndarray, int]] = []
     cursor = 0
     for _ in range(num_chunks):
@@ -279,8 +291,8 @@ def deserialize_plain(payload: bytes):
     """Parse bytes produced by :func:`serialize_plain`."""
     from .plain import PlainBitmap
 
-    _codec, num_bits, _nbytes, body = _unframe(payload, CODEC_PLAIN)
-    value = int.from_bytes(body, "little")
+    _codec, num_bits, _nbytes = _unframe(payload, CODEC_PLAIN)
+    value = int.from_bytes(_body(payload), "little")
     if value >> num_bits:
         raise BitmapDecodeError(
             "plain payload has bits set beyond num_bits"

@@ -18,20 +18,18 @@ The logical length (``num_bits``) need not be a multiple of 31; the final
 group is padded with zero bits that are maintained as an invariant by every
 constructor and operation (so ``count`` and ``density`` never see padding).
 
-The binary operations, ``union_all``, ``__invert__``, and ``count``
-normally dispatch to the vectorized run-array kernels in
-:mod:`repro.bitmap.kernels`; the per-word scalar implementations in this
-module are kept as the reference oracle and can be forced with
-``REPRO_WAH_KERNELS=scalar`` (see :func:`repro.bitmap.kernels.set_kernel_mode`).
+A bitmap holds its canonical code words in one read-only ``np.uint32``
+array, the same bytes the on-disk format stores, and every operation is
+one call into the array kernels of :mod:`repro.bitmap.kernels`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
-from ..errors import BitmapDecodeError, BitmapLengthMismatchError
+from ..errors import BitmapLengthMismatchError
 from . import kernels
 from .kernels import LITERAL_PAYLOAD_MASK, WORD_PAYLOAD_BITS
 
@@ -40,108 +38,6 @@ __all__ = [
     "WORD_PAYLOAD_BITS",
     "LITERAL_PAYLOAD_MASK",
 ]
-
-_FILL_FLAG = kernels.FILL_FLAG
-_FILL_VALUE_BIT = kernels.FILL_VALUE_BIT
-_FILL_COUNT_MASK = kernels.FILL_COUNT_MASK
-_MAX_FILL_GROUPS = kernels.MAX_FILL_GROUPS
-
-
-def _groups_for_bits(num_bits: int) -> int:
-    """Number of 31-bit groups needed to hold ``num_bits`` bits."""
-    return -(-num_bits // WORD_PAYLOAD_BITS)
-
-
-class _WahEncoder:
-    """Append-only builder that maintains WAH run-merging invariants.
-
-    Appending an all-zero or all-one literal converts it into (or merges it
-    with) a fill word, so the produced word sequence is always canonical:
-    no two adjacent fills share the same value, and no literal equals a
-    fill pattern.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self) -> None:
-        self.words: list[int] = []
-
-    def append_literal(self, payload: int) -> None:
-        """Append one 31-bit literal group (collapsing uniform groups)."""
-        if payload == 0:
-            self.append_fill(0, 1)
-        elif payload == LITERAL_PAYLOAD_MASK:
-            self.append_fill(1, 1)
-        else:
-            self.words.append(payload)
-
-    def append_fill(self, fill_value: int, ngroups: int) -> None:
-        """Append ``ngroups`` uniform groups of ``fill_value`` (0 or 1)."""
-        if ngroups <= 0:
-            return
-        words = self.words
-        if words:
-            last = words[-1]
-            if last & _FILL_FLAG and ((last >> 30) & 1) == fill_value:
-                existing = last & _FILL_COUNT_MASK
-                merged = existing + ngroups
-                take = min(merged, _MAX_FILL_GROUPS)
-                words[-1] = (
-                    _FILL_FLAG | (fill_value << 30) | take
-                )
-                ngroups = merged - take
-                if ngroups == 0:
-                    return
-        while ngroups > 0:
-            take = min(ngroups, _MAX_FILL_GROUPS)
-            words.append(_FILL_FLAG | (fill_value << 30) | take)
-            ngroups -= take
-
-
-class _RunCursor:
-    """Sequential decoder over a WAH word list, exposing group-sized runs.
-
-    At any time the cursor points into a *run*: either a fill of
-    ``remaining`` uniform groups, or a single literal group.  ``consume``
-    advances by whole groups.
-    """
-
-    __slots__ = ("_words", "_index", "is_fill", "fill_value",
-                 "remaining", "literal", "exhausted")
-
-    def __init__(self, words: list[int]):
-        self._words = words
-        self._index = 0
-        self.exhausted = False
-        self._load()
-
-    def _load(self) -> None:
-        if self._index >= len(self._words):
-            self.exhausted = True
-            self.is_fill = True
-            self.fill_value = 0
-            self.remaining = 0
-            self.literal = 0
-            return
-        word = self._words[self._index]
-        if word & _FILL_FLAG:
-            self.is_fill = True
-            self.fill_value = (word >> 30) & 1
-            self.remaining = word & _FILL_COUNT_MASK
-            self.literal = (
-                LITERAL_PAYLOAD_MASK if self.fill_value else 0
-            )
-        else:
-            self.is_fill = False
-            self.fill_value = 0
-            self.remaining = 1
-            self.literal = word
-        self._index += 1
-
-    def consume(self, ngroups: int) -> None:
-        self.remaining -= ngroups
-        if self.remaining == 0:
-            self._load()
 
 
 class WahBitmap:
@@ -154,47 +50,49 @@ class WahBitmap:
     is calibrated against.
     """
 
-    __slots__ = ("_words", "_num_bits", "_np_words")
+    __slots__ = ("_words", "_num_bits")
 
-    def __init__(self, words: list[int], num_bits: int):
+    def __init__(self, words, num_bits: int):
         # Internal constructor: trusts that `words` is canonical and that
         # padding bits in the final group are zero.  External callers
-        # should use the classmethod constructors.
-        self._words = words
+        # should use the classmethod constructors.  A uint32 array is
+        # kept without a copy, behind a read-only view.
+        self._words = np.asarray(words, dtype=np.uint32).view()
+        self._words.flags.writeable = False
         self._num_bits = num_bits
-        self._np_words: np.ndarray | None = None
 
-    def _word_array(self) -> np.ndarray:
-        """The code words as an int64 array (cached; words are immutable)."""
-        cached = self._np_words
-        if cached is None:
-            cached = np.asarray(self._words, dtype=np.int64)
-            self._np_words = cached
-        return cached
+    def __reduce__(self):
+        # Rebuild through the constructor so an unpickled bitmap (a
+        # shard answer crossing a pipe) is read-only too.
+        return (WahBitmap, (self._words, self._num_bits))
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @staticmethod
+    def _check_length(num_bits: int) -> None:
+        if num_bits < 0:
+            raise ValueError(f"num_bits must be >= 0, got {num_bits}")
+
     @classmethod
     def zeros(cls, num_bits: int) -> "WahBitmap":
         """An all-zero bitmap (compresses to at most one fill word)."""
-        if num_bits < 0:
-            raise ValueError(f"num_bits must be >= 0, got {num_bits}")
-        encoder = _WahEncoder()
-        encoder.append_fill(0, _groups_for_bits(num_bits))
-        return cls(encoder.words, num_bits)
+        cls._check_length(num_bits)
+        groups = -(-num_bits // WORD_PAYLOAD_BITS)
+        return cls(kernels.encode_runs([groups], [0]), num_bits)
 
     @classmethod
     def ones(cls, num_bits: int) -> "WahBitmap":
         """An all-one bitmap (1-fill plus, possibly, a partial literal)."""
-        if num_bits < 0:
-            raise ValueError(f"num_bits must be >= 0, got {num_bits}")
-        encoder = _WahEncoder()
+        cls._check_length(num_bits)
         full_groups, tail_bits = divmod(num_bits, WORD_PAYLOAD_BITS)
-        encoder.append_fill(1, full_groups)
-        if tail_bits:
-            encoder.append_literal((1 << tail_bits) - 1)
-        return cls(encoder.words, num_bits)
+        return cls(
+            kernels.encode_runs(
+                [full_groups, 1 if tail_bits else 0],
+                [LITERAL_PAYLOAD_MASK, (1 << tail_bits) - 1],
+            ),
+            num_bits,
+        )
 
     @classmethod
     def from_positions(
@@ -203,41 +101,20 @@ class WahBitmap:
         """Build a bitmap from set-bit positions (need not be sorted).
 
         This is the primary construction path for bitmap indices: the
-        positions are the row ids holding a given column value.  The heavy
-        lifting (grouping positions into 31-bit words) is vectorized.
+        positions are the row ids holding a given column value.
         """
-        if num_bits < 0:
-            raise ValueError(f"num_bits must be >= 0, got {num_bits}")
+        cls._check_length(num_bits)
         positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return cls.zeros(num_bits)
-        if positions.min() < 0 or positions.max() >= num_bits:
+        if positions.size and (
+            positions.min() < 0 or positions.max() >= num_bits
+        ):
             raise ValueError(
                 f"positions out of range for {num_bits}-bit bitmap"
             )
-        positions = np.unique(positions)
-        group_ids = positions // WORD_PAYLOAD_BITS
-        offsets = positions % WORD_PAYLOAD_BITS
-        bit_values = np.left_shift(
-            np.int64(1), offsets.astype(np.int64)
+        return cls(
+            kernels.positions_to_words(np.unique(positions), num_bits),
+            num_bits,
         )
-        unique_groups, first_index = np.unique(group_ids, return_index=True)
-        # OR together the bits that fall into the same 31-bit group.
-        payloads = np.bitwise_or.reduceat(bit_values, first_index)
-
-        encoder = _WahEncoder()
-        previous_end = 0
-        for group, payload in zip(
-            unique_groups.tolist(), payloads.tolist()
-        ):
-            gap = group - previous_end
-            if gap:
-                encoder.append_fill(0, gap)
-            encoder.append_literal(int(payload))
-            previous_end = group + 1
-        total_groups = _groups_for_bits(num_bits)
-        encoder.append_fill(0, total_groups - previous_end)
-        return cls(encoder.words, num_bits)
 
     @classmethod
     def from_dense(cls, bits: np.ndarray) -> "WahBitmap":
@@ -284,12 +161,12 @@ class WahBitmap:
     @property
     def num_words(self) -> int:
         """Number of 32-bit code words in the compressed form."""
-        return len(self._words)
+        return int(self._words.size)
 
     @property
     def words(self) -> tuple[int, ...]:
-        """The raw 32-bit code words (read-only view)."""
-        return tuple(self._words)
+        """The raw 32-bit code words, as Python ints."""
+        return tuple(self._words.tolist())
 
     @property
     def serialized_size_bytes(self) -> int:
@@ -301,21 +178,12 @@ class WahBitmap:
         from .serialization import HEADER_SIZE_BYTES, TRAILER_SIZE_BYTES
 
         return (
-            HEADER_SIZE_BYTES + 4 * len(self._words) + TRAILER_SIZE_BYTES
+            HEADER_SIZE_BYTES + self._words.nbytes + TRAILER_SIZE_BYTES
         )
 
     def count(self) -> int:
         """Number of set bits (computed on the compressed form)."""
-        if kernels.kernels_enabled():
-            return kernels.count_words(self._word_array())
-        total = 0
-        for word in self._words:
-            if word & _FILL_FLAG:
-                if (word >> 30) & 1:
-                    total += WORD_PAYLOAD_BITS * (word & _FILL_COUNT_MASK)
-            else:
-                total += word.bit_count()
-        return total
+        return kernels.count_words(self._words)
 
     def density(self) -> float:
         """Fraction of set bits."""
@@ -330,54 +198,11 @@ class WahBitmap:
                 f"position {position} out of range for "
                 f"{self._num_bits}-bit bitmap"
             )
-        target_group, offset = divmod(position, WORD_PAYLOAD_BITS)
-        group = 0
-        for word in self._words:
-            if word & _FILL_FLAG:
-                span = word & _FILL_COUNT_MASK
-                if group + span > target_group:
-                    return bool((word >> 30) & 1)
-                group += span
-            else:
-                if group == target_group:
-                    return bool((word >> offset) & 1)
-                group += 1
-        raise BitmapDecodeError(
-            "bitmap words do not cover the logical length"
-        )
-
-    def iter_runs(self) -> Iterator[tuple[bool, int, int, int]]:
-        """Yield ``(is_fill, fill_value, ngroups, literal)`` per code word."""
-        for word in self._words:
-            if word & _FILL_FLAG:
-                yield True, (word >> 30) & 1, word & _FILL_COUNT_MASK, 0
-            else:
-                yield False, 0, 1, word
+        return kernels.word_bit(self._words, position)
 
     def to_positions(self) -> np.ndarray:
         """Sorted array of set-bit positions."""
-        chunks: list[np.ndarray] = []
-        group = 0
-        for is_fill, fill_value, ngroups, literal in self.iter_runs():
-            if is_fill:
-                if fill_value:
-                    start = group * WORD_PAYLOAD_BITS
-                    stop = (group + ngroups) * WORD_PAYLOAD_BITS
-                    chunks.append(np.arange(start, stop, dtype=np.int64))
-                group += ngroups
-            else:
-                base = group * WORD_PAYLOAD_BITS
-                bits = []
-                payload = literal
-                while payload:
-                    low = payload & -payload
-                    bits.append(base + low.bit_length() - 1)
-                    payload ^= low
-                chunks.append(np.asarray(bits, dtype=np.int64))
-                group += 1
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        return kernels.words_to_positions(self._words)
 
     def to_dense(self) -> np.ndarray:
         """Boolean numpy array of length ``num_bits``."""
@@ -390,138 +215,53 @@ class WahBitmap:
     # ------------------------------------------------------------------
     # Logical operations (compressed-form)
     # ------------------------------------------------------------------
-    def _check_compatible(self, other: "WahBitmap") -> None:
+    def _binary(self, other: "WahBitmap", op_name: str) -> "WahBitmap":
+        """Merge two compressed word arrays group-aligned under an op."""
         if self._num_bits != other._num_bits:
             raise BitmapLengthMismatchError(
                 self._num_bits, other._num_bits
             )
-
-    def _binary(self, other: "WahBitmap", op_name: str, op) -> "WahBitmap":
-        """Merge two compressed word streams group-aligned under an op.
-
-        Dispatches to the vectorized kernel when enabled; otherwise
-        falls back to the scalar reference merge.
-        """
-        if kernels.kernels_enabled():
-            self._check_compatible(other)
-            return WahBitmap(
-                kernels.binary_words(
-                    self._word_array(), other._word_array(), op_name
-                ),
-                self._num_bits,
-            )
-        return self._binary_scalar(other, op)
-
-    def _binary_scalar(self, other: "WahBitmap", op) -> "WahBitmap":
-        """Reference (scalar) merge of two word streams under ``op``.
-
-        ``op`` maps two 31-bit payloads to a 31-bit payload.  Fill runs on
-        both sides are consumed in bulk, so the loop cost is proportional
-        to the number of *runs*, not the number of groups, except where
-        both operands are literal-dense.  Kept as the oracle the
-        vectorized kernels are property-tested against.
-        """
-        self._check_compatible(other)
-        left = _RunCursor(self._words)
-        right = _RunCursor(other._words)
-        encoder = _WahEncoder()
-        while not (left.exhausted or right.exhausted):
-            if left.is_fill and right.is_fill:
-                step = min(left.remaining, right.remaining)
-                payload = op(left.literal, right.literal)
-                if payload == 0:
-                    encoder.append_fill(0, step)
-                elif payload == LITERAL_PAYLOAD_MASK:
-                    encoder.append_fill(1, step)
-                else:
-                    # Uniform inputs always yield a uniform output for the
-                    # bitwise ops we support, but be safe and emit literals.
-                    for _ in range(step):
-                        encoder.append_literal(payload)
-            else:
-                step = 1
-                encoder.append_literal(op(left.literal, right.literal))
-            left.consume(step)
-            right.consume(step)
-        if left.exhausted != right.exhausted:
-            raise BitmapDecodeError(
-                "operand word streams cover different group counts"
-            )
-        return WahBitmap(encoder.words, self._num_bits)
+        return WahBitmap(
+            kernels.binary_words(self._words, other._words, op_name),
+            self._num_bits,
+        )
 
     def __and__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, "and", lambda a, b: a & b)
+        return self._binary(other, "and")
 
     def __or__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, "or", lambda a, b: a | b)
+        return self._binary(other, "or")
 
     def __xor__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, "xor", lambda a, b: a ^ b)
+        return self._binary(other, "xor")
 
     def andnot(self, other: "WahBitmap") -> "WahBitmap":
         """Bits set in ``self`` but not in ``other`` (the paper's ANDNOT)."""
-        return self._binary(
-            other, "andnot", lambda a, b: a & ~b & LITERAL_PAYLOAD_MASK
-        )
+        return self._binary(other, "andnot")
 
     def __invert__(self) -> "WahBitmap":
         """Bitwise complement over the logical length (padding kept zero)."""
-        if kernels.kernels_enabled():
-            return WahBitmap(
-                kernels.invert_words(self._word_array(), self._num_bits),
-                self._num_bits,
-            )
-        encoder = _WahEncoder()
-        for is_fill, fill_value, ngroups, literal in self.iter_runs():
-            if is_fill:
-                encoder.append_fill(1 - fill_value, ngroups)
-            else:
-                encoder.append_literal(~literal & LITERAL_PAYLOAD_MASK)
-        flipped = WahBitmap(encoder.words, self._num_bits)
-        tail_bits = self._num_bits % WORD_PAYLOAD_BITS
-        if tail_bits == 0:
-            return flipped
-        # Clear the padding bits that the complement just set in the final
-        # (partial) group, preserving the zero-padding invariant.
-        tail_mask = WahBitmap.ones(self._num_bits)
-        return flipped & tail_mask
+        return WahBitmap(
+            kernels.invert_words(self._words, self._num_bits),
+            self._num_bits,
+        )
 
     def concat(self, other: "WahBitmap") -> "WahBitmap":
         """Append ``other``'s bits after this bitmap's logical length.
 
-        Supports appending new rows to an existing bitmap index.  When
-        this bitmap's length is a multiple of the 31-bit group size the
-        compressed word streams are joined directly (with run merging at
-        the seam); otherwise the tail is rebuilt from positions, which
-        costs ``O(set bits of other)``.
+        Supports appending new rows to an existing bitmap index, folding
+        delta generations onto a base, and joining shard answers.  The
+        word arrays are joined run by run, shifting ``other`` across the
+        seam when this length is not a multiple of the 31-bit group size
+        (:func:`repro.bitmap.kernels.concat_words`), so the cost is
+        proportional to the runs of both operands.
         """
-        if self._num_bits % WORD_PAYLOAD_BITS == 0:
-            encoder = _WahEncoder()
-            for is_fill, fill_value, ngroups, literal in (
-                self.iter_runs()
-            ):
-                if is_fill:
-                    encoder.append_fill(fill_value, ngroups)
-                else:
-                    encoder.append_literal(literal)
-            for is_fill, fill_value, ngroups, literal in (
-                other.iter_runs()
-            ):
-                if is_fill:
-                    encoder.append_fill(fill_value, ngroups)
-                else:
-                    encoder.append_literal(literal)
-            return WahBitmap(
-                encoder.words, self._num_bits + other.num_bits
-            )
-        total_bits = self._num_bits + other.num_bits
-        positions = np.concatenate(
-            (
-                self.to_positions(),
-                other.to_positions() + self._num_bits,
-            )
+        return WahBitmap(
+            kernels.concat_words(
+                self._words, self._num_bits, other._words, other._num_bits
+            ),
+            self._num_bits + other._num_bits,
         )
-        return WahBitmap.from_positions(positions, total_bits)
 
     # ------------------------------------------------------------------
     # Aggregate helpers
@@ -532,13 +272,11 @@ class WahBitmap:
     ) -> "WahBitmap":
         """OR together any number of bitmaps (empty input => all zeros).
 
-        With the vectorized kernels enabled this is a chunked k-way
-        bulk segment merge (:func:`repro.bitmap.kernels.union_all_words`);
-        the scalar reference path uses pairwise tree reduction: with
-        ``k`` sparse operands the cost is ``O(total_runs * log k)``
-        instead of the ``O(k * result_runs)`` a left-to-right fold pays
-        once the accumulated result grows dense.  ``num_bits`` is
-        required when ``bitmaps`` may be empty.
+        One chunked k-way bulk segment merge
+        (:func:`repro.bitmap.kernels.union_all_words`) instead of a
+        left-to-right fold, which would pay ``O(k * result_runs)`` once
+        the accumulated result grows dense.  ``num_bits`` is required
+        when ``bitmaps`` may be empty.
         """
         pending = list(bitmaps)
         if not pending:
@@ -554,22 +292,12 @@ class WahBitmap:
                 raise BitmapLengthMismatchError(
                     first_bits, bitmap._num_bits
                 )
-        if kernels.kernels_enabled():
-            return WahBitmap(
-                kernels.union_all_words(
-                    [bitmap._word_array() for bitmap in pending]
-                ),
-                first_bits,
-            )
-        while len(pending) > 1:
-            merged = [
-                pending[i] | pending[i + 1]
-                for i in range(0, len(pending) - 1, 2)
-            ]
-            if len(pending) % 2:
-                merged.append(pending[-1])
-            pending = merged
-        return pending[0]
+        return WahBitmap(
+            kernels.union_all_words(
+                [bitmap._words for bitmap in pending]
+            ),
+            first_bits,
+        )
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -578,13 +306,12 @@ class WahBitmap:
         if not isinstance(other, WahBitmap):
             return NotImplemented
         # Canonical encoding makes word-level comparison exact.
-        return (
-            self._num_bits == other._num_bits
-            and self._words == other._words
+        return self._num_bits == other._num_bits and np.array_equal(
+            self._words, other._words
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_bits, tuple(self._words)))
+        return hash((self._num_bits, self._words.tobytes()))
 
     def __len__(self) -> int:
         return self._num_bits
@@ -592,5 +319,5 @@ class WahBitmap:
     def __repr__(self) -> str:
         return (
             f"WahBitmap(num_bits={self._num_bits}, "
-            f"words={len(self._words)}, count={self.count()})"
+            f"words={self._words.size}, count={self.count()})"
         )

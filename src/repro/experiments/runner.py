@@ -38,7 +38,6 @@ import sys
 import time
 from collections.abc import Callable
 
-from ..bitmap import kernels
 from ..obs import (
     MetricsRegistry,
     TraceCollector,
@@ -399,15 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--wah-kernel",
-        choices=kernels.KERNEL_MODES,
-        default=None,
-        help=(
-            "WAH bitmap dispatch: 'numpy' (vectorized kernels, the "
-            "default) or 'scalar' (per-word reference implementation)"
-        ),
-    )
-    parser.add_argument(
         "--fault-rate",
         type=float,
         default=0.0,
@@ -467,8 +457,6 @@ def main(argv: list[str] | None = None) -> int:
             ingest_values=args.ingest_values,
             max_deltas=args.max_deltas,
         )
-    if args.wah_kernel is not None:
-        kernels.set_kernel_mode(args.wah_kernel)
     if not 0.0 <= args.fault_rate <= 1.0:
         parser.error("--fault-rate must be in [0, 1]")
     fault_policy = None

@@ -10,8 +10,9 @@ front-end the ROADMAP asks for:
 * **Concurrent intake.**  Requests arrive over an in-process async API
   (:meth:`Gateway.submit`) or a TCP/JSON-lines socket
   (:meth:`Gateway.serve_tcp`); the event loop coalesces them into
-  bounded micro-batches for the blocking executors, which run on a
-  small thread pool so the loop never blocks.
+  bounded micro-batches for the blocking executors, which run on the
+  event loop's default executor (``run_in_executor(None, ...)``) so
+  the loop never blocks.
 * **Priority-aware admission control.**  The intake queue is bounded
   (``max_queue_depth``) and partitioned by priority class; a request
   that would overflow it is shed *synchronously* with a typed
@@ -89,6 +90,7 @@ from ..workload.query import RangeQuery
 from .lifecycle import ReplicaSlot, ReplicaState, probe_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..bitmap.wah import WahBitmap
     from ..core.executor import ExecutionResult
     from .batch import BatchExecutor
     from .sharded import ShardedExecutor
@@ -127,7 +129,10 @@ class GatewayConfig:
             queued are shed with :class:`~repro.errors.OverloadedError`
             (lowest priority class first).
         max_inflight_batches: backend batches allowed to run
-            concurrently (also the size of the dispatch thread pool).
+            concurrently.  It sizes no thread pool: every attempt,
+            health probe, canary and replica close runs on the event
+            loop's default executor, and a hedged batch runs both of
+            its attempts inside one in-flight slot.
         default_deadline_s: deadline applied to requests that do not
             carry their own (``None`` = no deadline).
         priority_classes: admission classes from most to least
@@ -287,7 +292,7 @@ class Replica:
 
     Subclasses adapt a concrete backend; the contract is small:
     :meth:`run_batch` executes a tuple of queries *synchronously*
-    (the gateway calls it from its dispatch thread pool, via
+    (the gateway calls it on the event loop's default executor, via
     :meth:`serve_batch`) and returns a report exposing ``outcomes`` —
     per-query :class:`~repro.serve.batch.QueryOutcome`\\ s in query
     order — and ``reconciles()``.  A raise (typically
@@ -767,9 +772,7 @@ class Gateway:
             maxlen=HISTORY_LIMIT
         )
         self._batch_counter = 0
-        self._canary_ref: (
-            tuple[RangeQuery, tuple[int, ...]] | None
-        ) = None
+        self._canary_ref: tuple[RangeQuery, WahBitmap] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -1431,10 +1434,7 @@ class Gateway:
                     and outcome.result is not None
                     and self._canary_ref is None
                 ):
-                    self._canary_ref = (
-                        query,
-                        tuple(outcome.result.answer.words),
-                    )
+                    self._canary_ref = (query, outcome.result.answer)
             failed = slot.outcomes.count(False)
             tripped = (
                 slot.state is ReplicaState.ACTIVE
@@ -1617,8 +1617,8 @@ class Gateway:
 
     def _canary_expectation(
         self,
-    ) -> tuple[RangeQuery, tuple[int, ...] | None] | None:
-        """The canary query and (when known) its expected answer words.
+    ) -> tuple[RangeQuery, WahBitmap | None] | None:
+        """The canary query and (when known) its expected answer.
         ``None`` when no canary is available yet."""
         with self._lock:
             configured = self._config.canary_query
@@ -1647,7 +1647,7 @@ class Gateway:
         """Revive a replica's backend and canary-check it (runs on a
         dispatch thread).
 
-        The canary answer must be bit-identical to the expected words
+        The canary answer must be bit-identical to the expected answer
         — recorded from live traffic, or replayed on a healthy peer.
         With no reference available (no traffic served yet and no
         peer), a clean canary run is accepted.
@@ -1660,13 +1660,12 @@ class Gateway:
             canary = self._canary_expectation()
             if canary is None:
                 return True
-            query, expected_words = canary
+            query, expected = canary
             report = replica.serve_batch((query,))
             outcome = report.outcomes[0]
             if outcome.error is not None or outcome.result is None:
                 return False
-            words = tuple(outcome.result.answer.words)
-            if expected_words is None:
+            if expected is None:
                 peer = self._active_peer(exclude=replica.replica_id)
                 if peer is None:
                     return True
@@ -1678,10 +1677,8 @@ class Gateway:
                 ):
                     # The peer's trouble is not the candidate's fault.
                     return True
-                expected_words = tuple(
-                    peer_outcome.result.answer.words
-                )
-            return words == tuple(expected_words)
+                expected = peer_outcome.result.answer
+            return outcome.result.answer == expected
         except Exception:
             return False
 
@@ -1747,13 +1744,29 @@ class Gateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Serve one client connection, pipelining its requests."""
+        """Serve one client connection, pipelining its requests.
+
+        A line longer than ``TCP_LINE_LIMIT`` ends the connection: the
+        requests already read are answered, then one typed
+        ``WorkloadError`` line with ``"id": null``, because the rest of
+        the oversized line cannot be re-framed.
+        """
         self._metrics.inc("gateway_connections_total")
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        oversized: WorkloadError | None = None
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # asyncio's limit overrun ("chunk is longer than
+                    # limit"), raised by readline as ValueError.
+                    oversized = WorkloadError(
+                        f"request line longer than {self.TCP_LINE_LIMIT} "
+                        "bytes"
+                    )
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -1768,6 +1781,10 @@ class Gateway:
                 task.add_done_callback(tasks.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            if oversized is not None:
+                await self._write_response(
+                    writer, write_lock, self._error_response(None, oversized)
+                )
         finally:
             try:
                 writer.close()
@@ -1862,6 +1879,15 @@ class Gateway:
                 ]
         except Exception as exc:
             response = self._error_response(request_id, exc)
+        await self._write_response(writer, write_lock, response)
+
+    @staticmethod
+    async def _write_response(
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        response: dict,
+    ) -> None:
+        """Write one JSON response line, whole, to the connection."""
         data = (
             json.dumps(response, sort_keys=True) + "\n"
         ).encode("utf-8")

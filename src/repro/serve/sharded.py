@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..bitmap.wah import WahBitmap
 from ..errors import QueryFailedError, ShardError, ShardFailedError
 from ..hierarchy.serialization import (
     hierarchy_from_dict,
@@ -1027,11 +1026,10 @@ class ShardedExecutor:
     ) -> tuple[QueryOutcome, ...]:
         """Merge per-shard outcomes into full-column outcomes.
 
-        Answers concatenate by row offset: each shard's set positions
-        shift by its ``row_lo`` and one canonical
-        :meth:`~repro.bitmap.wah.WahBitmap.from_positions` build over
-        the union makes the merged words identical to a single-shard
-        answer.  A failure on any shard makes the merged outcome a
+        Answers concatenate by row offset: the shard answers fold with
+        :meth:`~repro.bitmap.wah.WahBitmap.concat` in ``row_lo`` order,
+        whose canonical words are identical to a single-shard answer's.
+        A failure on any shard makes the merged outcome a
         :class:`~repro.errors.QueryFailedError` carrying the shard id
         (IO and events of all shards, failed included, stay merged).
         """
@@ -1069,16 +1067,9 @@ class ShardedExecutor:
                     )
                 )
                 continue
-            positions = np.concatenate(
-                [
-                    part.result.answer.to_positions()
-                    + report.row_lo
-                    for report, part in zip(shard_reports, parts)
-                ]
-            )
-            answer = WahBitmap.from_positions(
-                positions, self.num_rows
-            )
+            answer = parts[0].result.answer
+            for part in parts[1:]:
+                answer = answer.concat(part.result.answer)
             result = ExecutionResult(
                 query=query,
                 answer=answer,

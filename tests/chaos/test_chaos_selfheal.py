@@ -151,16 +151,20 @@ class TestSequentialKillReAdmission:
                 [replica_a, replica_b], config
             ) as gateway:
                 waves = [await wave(gateway)]
-                for victim in (replica_a, replica_b):
+                for kills, victim in enumerate((replica_a, replica_b), 1):
                     worker = victim.executor.worker_processes[0]
                     worker.kill()
                     worker.join(timeout=10.0)
                     # Traffic keeps flowing while the victim is down
                     # (failover) and while it is being rebuilt.
                     waves.append(await wave(gateway))
+                    # Until the supervisor's health scan sees the kill,
+                    # the victim still reads ACTIVE: wait for its
+                    # re-admission, not just for all-ACTIVE states.
                     await _poll(
                         lambda: gateway.replica_states()
                         == {0: "active", 1: "active"}
+                        and gateway.stats().readmissions >= kills
                     )
                     waves.append(await wave(gateway))
                 states = gateway.replica_states()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap.index import HierarchicalBitmapIndex
@@ -12,6 +12,17 @@ from repro.bitmap.wah import WORD_PAYLOAD_BITS, WahBitmap
 from repro.errors import WorkloadError
 from repro.hierarchy.tree import Hierarchy
 from repro.storage.filestore import BitmapFileStore
+
+from .wah_reference import ReferenceWah
+
+#: Side lengths up to 2,000 bits; lengths around the 31-bit group seam
+#: are always among the draws.
+SIDE_LENGTHS = st.one_of(
+    st.sampled_from((0, 1, 30, 31, 32, 62)),
+    st.integers(min_value=0, max_value=2_000),
+)
+#: Densities from all-zero to all-one.
+DENSITIES = st.sampled_from((0.0, 0.001, 0.05, 0.3, 0.5, 0.9, 0.999, 1.0))
 
 
 class TestConcat:
@@ -44,35 +55,33 @@ class TestConcat:
         assert joined.num_words == 1
 
     @given(
-        st.integers(min_value=0, max_value=120),
-        st.integers(min_value=0, max_value=120),
+        SIDE_LENGTHS,
+        SIDE_LENGTHS,
+        DENSITIES,
+        DENSITIES,
         st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=100)
+    @settings(max_examples=300)
+    @example(1, 62, 1.0, 1.0, 0)
+    @example(30, 32, 1.0, 1.0, 0)
+    @example(31, 30, 1.0, 0.0, 0)
+    @example(32, 31, 0.0, 1.0, 0)
+    @example(62, 1, 1.0, 1.0, 0)
+    @example(0, 30, 0.0, 1.0, 0)
     def test_concat_matches_position_arithmetic(
-        self, left_bits, right_bits, seed
+        self, left_bits, right_bits, left_density, right_density, seed
     ):
         rng = np.random.default_rng(seed)
-        left = (
-            rng.choice(left_bits, size=left_bits // 3, replace=False)
-            if left_bits
-            else np.empty(0, dtype=np.int64)
-        )
-        right = (
-            rng.choice(
-                right_bits, size=right_bits // 3, replace=False
-            )
-            if right_bits
-            else np.empty(0, dtype=np.int64)
-        )
+        left = np.flatnonzero(rng.random(left_bits) < left_density)
+        right = np.flatnonzero(rng.random(right_bits) < right_density)
         a = WahBitmap.from_positions(left, left_bits)
         b = WahBitmap.from_positions(right, right_bits)
         joined = a.concat(b)
-        expected = sorted(left.tolist()) + sorted(
-            (right + left_bits).tolist()
-        )
+        expected = left.tolist() + (right + left_bits).tolist()
         assert joined.to_positions().tolist() == expected
         assert joined.num_bits == left_bits + right_bits
+        reference = ReferenceWah.of(a).concat(ReferenceWah.of(b))
+        assert joined.words == reference.words
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from repro.bitmap.wah import (
 )
 from repro.errors import BitmapLengthMismatchError
 
+from .wah_reference import iter_runs
+
 
 class TestConstructors:
     def test_zeros_has_no_set_bits(self):
@@ -108,7 +110,7 @@ class TestCompression:
 
     def test_canonical_encoding_no_adjacent_same_fills(self):
         bitmap = WahBitmap.from_positions([100, 200, 300], 1000)
-        runs = list(bitmap.iter_runs())
+        runs = list(iter_runs(bitmap.words))
         for left, right in zip(runs, runs[1:]):
             if left[0] and right[0]:  # both fills
                 assert left[1] != right[1]

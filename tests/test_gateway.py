@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 
@@ -788,6 +789,66 @@ class TestTcp:
         assert response["status"] == "ok"
         assert response["count"] == num_bits
         assert response["positions"] == list(range(num_bits))
+
+    def test_oversized_line_answers_typed_then_closes(self, caplog):
+        """A request line past the stream limit cannot be re-framed:
+        the requests read before it are answered, then one typed,
+        non-retryable ``WorkloadError`` line with ``"id": null``, then
+        EOF, and a fresh connection is served.  (The line used to end
+        the connection with no reply while asyncio logged the
+        ``ValueError`` raised from ``readline``.)"""
+
+        async def scenario():
+            async with Gateway([StubReplica(0)]) as gateway:
+                gateway.TCP_LINE_LIMIT = 4096
+                server = await gateway.serve_tcp()
+                host, port = server.sockets[0].getsockname()[:2]
+                reader, writer = await asyncio.open_connection(
+                    host, port
+                )
+                requests = [
+                    {"id": 1, "ranges": [[0, 3]]},
+                    {"id": 2, "ranges": [[0, 3]], "label": "x" * 10_000},
+                ]
+                writer.write(
+                    b"".join(
+                        (json.dumps(request) + "\n").encode()
+                        for request in requests
+                    )
+                )
+                await writer.drain()
+                replies = []
+                while line := await asyncio.wait_for(
+                    reader.readline(), timeout=10.0
+                ):
+                    replies.append(json.loads(line))
+                writer.close()
+                await writer.wait_closed()
+                reader, writer = await asyncio.open_connection(
+                    host, port
+                )
+                writer.write(b'{"id": 3, "ranges": [[0, 3]]}\n')
+                await writer.drain()
+                fresh = json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=10.0)
+                )
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                return replies, fresh
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            replies, fresh = asyncio.run(scenario())
+        assert [reply["id"] for reply in replies] == [1, None]
+        assert replies[0]["status"] == "ok"
+        assert replies[1]["status"] == "error"
+        assert replies[1]["error"] == "WorkloadError"
+        assert replies[1]["detail"] == {"retryable": False}
+        assert fresh["status"] == "ok"
+        assert not [
+            record for record in caplog.records if record.name == "asyncio"
+        ]
 
     def test_out_of_range_bounds_answer_typed_and_spare_the_replica(
         self, materialized_setup

@@ -1,15 +1,18 @@
-"""Property tests: vectorized WAH kernels vs. the scalar reference.
+"""Property tests: WAH kernels vs. the per-word reference.
 
-The scalar per-word implementation in :mod:`repro.bitmap.wah` is the
-oracle; the numpy kernels in :mod:`repro.bitmap.kernels` must produce
-**bit-identical canonical word streams** for every operation, across
-random densities, lengths (including non-multiples of 31), and run
-structures.  Word-level equality is stronger than logical equality: it
-pins the canonical encoding (fill merging, uniform-literal collapsing)
-the serialization format and the cost accounting depend on.
+The scalar per-word implementation in ``tests/wah_reference.py`` is the
+oracle; every :class:`~repro.bitmap.wah.WahBitmap` operation, which runs
+on the array kernels in :mod:`repro.bitmap.kernels`, must produce
+**bit-identical canonical word streams**, across random densities,
+lengths (including non-multiples of 31), and run structures.
+Word-level equality is stronger than logical equality: it pins the
+canonical encoding (fill merging, uniform-literal collapsing) the
+serialization format and the cost accounting depend on.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -17,12 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import kernels
-from repro.bitmap.wah import (
-    LITERAL_PAYLOAD_MASK,
-    WahBitmap,
-    _WahEncoder,
-)
+from repro.bitmap.serialization import deserialize_wah, serialize_wah
+from repro.bitmap.wah import LITERAL_PAYLOAD_MASK, WahBitmap
 from repro.errors import BitmapDecodeError, BitmapLengthMismatchError
+
+from .wah_reference import ReferenceWah, WahEncoder, iter_runs
 
 MAX_BITS = 700
 
@@ -73,14 +75,9 @@ def bitmap_list(draw):
     ]
 
 
-def _scalar(fn):
-    with kernels.use_kernel_mode("scalar"):
-        return fn()
-
-
-def _kernel(fn):
-    with kernels.use_kernel_mode("numpy"):
-        return fn()
+def _ops(a, b):
+    """Each binary op's result on a pair (kernel or reference)."""
+    return [a & b, a | b, a ^ b, a.andnot(b)]
 
 
 class TestBinaryOps:
@@ -88,13 +85,9 @@ class TestBinaryOps:
     @settings(max_examples=150)
     def test_binary_ops_bit_identical(self, pair):
         a, b = pair
-        for op in (
-            lambda: a & b,
-            lambda: a | b,
-            lambda: a ^ b,
-            lambda: a.andnot(b),
-        ):
-            assert _kernel(op).words == _scalar(op).words
+        kernel = _ops(a, b)
+        reference = _ops(ReferenceWah.of(a), ReferenceWah.of(b))
+        assert [r.words for r in kernel] == [r.words for r in reference]
 
     @given(bitmap_pair())
     @settings(max_examples=80)
@@ -102,9 +95,9 @@ class TestBinaryOps:
         """Kernel outputs survive a WAH round-trip unchanged (no
         adjacent same-value fills, no uniform literals)."""
         a, b = pair
-        result = _kernel(lambda: a | b)
-        encoder = _WahEncoder()
-        for is_fill, value, ngroups, literal in result.iter_runs():
+        result = a | b
+        encoder = WahEncoder()
+        for is_fill, value, ngroups, literal in iter_runs(result.words):
             if is_fill:
                 encoder.append_fill(value, ngroups)
             else:
@@ -115,7 +108,7 @@ class TestBinaryOps:
         a = WahBitmap.zeros(62)
         b = WahBitmap.zeros(31)
         with pytest.raises(BitmapLengthMismatchError):
-            _kernel(lambda: a | b)
+            a | b
 
 
 class TestInvertAndCount:
@@ -126,11 +119,58 @@ class TestInvertAndCount:
             bitmap = WahBitmap.zeros(0)
         else:
             bitmap = data.draw(wah_bitmap(num_bits))
-        assert (
-            _kernel(lambda: ~bitmap).words
-            == _scalar(lambda: ~bitmap).words
+        reference = ReferenceWah.of(bitmap)
+        assert (~bitmap).words == (~reference).words
+        assert bitmap.count() == reference.count()
+
+
+class TestPositionsAndConstructors:
+    @given(st.integers(min_value=1, max_value=MAX_BITS), st.data())
+    @settings(max_examples=150)
+    def test_from_positions_bit_identical(self, num_bits, data):
+        positions = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=num_bits - 1),
+                max_size=num_bits,
+            )
         )
-        assert _kernel(bitmap.count) == _scalar(bitmap.count)
+        assert (
+            WahBitmap.from_positions(positions, num_bits).words
+            == ReferenceWah.from_positions(positions, num_bits).words
+        )
+
+    @given(st.integers(min_value=1, max_value=MAX_BITS), st.data())
+    @settings(max_examples=150)
+    def test_to_positions_and_get_match_reference(self, num_bits, data):
+        bitmap = data.draw(wah_bitmap(num_bits))
+        reference = ReferenceWah.of(bitmap)
+        positions = bitmap.to_positions()
+        assert positions.dtype == np.int64
+        assert positions.tolist() == reference.to_positions().tolist()
+        assert [bitmap.get(p) for p in range(num_bits)] == [
+            reference.get(p) for p in range(num_bits)
+        ]
+
+    @given(st.integers(min_value=0, max_value=MAX_BITS))
+    @settings(max_examples=100)
+    def test_zeros_and_ones_bit_identical(self, num_bits):
+        assert (
+            WahBitmap.zeros(num_bits).words
+            == ReferenceWah.zeros(num_bits).words
+        )
+        assert (
+            WahBitmap.ones(num_bits).words
+            == ReferenceWah.ones(num_bits).words
+        )
+
+    def test_oversized_fills_split_like_the_reference(self):
+        num_bits = 31 * (kernels.MAX_FILL_GROUPS + 3) + 7
+        for bitmap, reference in (
+            (WahBitmap.zeros(num_bits), ReferenceWah.zeros(num_bits)),
+            (WahBitmap.ones(num_bits), ReferenceWah.ones(num_bits)),
+        ):
+            assert bitmap.words == reference.words
+            assert (~bitmap).words == (~reference).words
 
 
 class TestUnionAll:
@@ -138,21 +178,20 @@ class TestUnionAll:
     @settings(max_examples=100)
     def test_union_all_bit_identical(self, data):
         num_bits, bitmaps = data
-        union = lambda: WahBitmap.union_all(
-            bitmaps, num_bits=num_bits
+        union = WahBitmap.union_all(bitmaps, num_bits=num_bits)
+        reference = ReferenceWah.union_all(
+            ReferenceWah.of(bitmap) for bitmap in bitmaps
         )
-        assert _kernel(union).words == _scalar(union).words
+        assert union.words == reference.words
 
     def test_union_all_empty_input(self):
-        result = _kernel(
-            lambda: WahBitmap.union_all([], num_bits=100)
-        )
+        result = WahBitmap.union_all([], num_bits=100)
         assert result == WahBitmap.zeros(100)
 
     def test_union_all_length_mismatch_raises(self):
         bitmaps = [WahBitmap.zeros(31), WahBitmap.zeros(62)]
         with pytest.raises(BitmapLengthMismatchError):
-            _kernel(lambda: WahBitmap.union_all(bitmaps))
+            WahBitmap.union_all(bitmaps)
 
 
 class TestLargerDeterministicCases:
@@ -171,15 +210,12 @@ class TestLargerDeterministicCases:
         b = WahBitmap.from_dense(
             rng.random(self.NUM_BITS) < density
         )
-        for op in (
-            lambda: a & b,
-            lambda: a | b,
-            lambda: a ^ b,
-            lambda: a.andnot(b),
-            lambda: ~a,
-        ):
-            assert _kernel(op).words == _scalar(op).words
-        assert _kernel(a.count) == _scalar(a.count)
+        ref_a, ref_b = ReferenceWah.of(a), ReferenceWah.of(b)
+        kernel = _ops(a, b) + [~a, a.concat(b)]
+        reference = _ops(ref_a, ref_b) + [~ref_a, ref_a.concat(ref_b)]
+        assert [r.words for r in kernel] == [r.words for r in reference]
+        assert a.count() == ref_a.count()
+        assert a.to_positions().tolist() == ref_a.to_positions().tolist()
 
     def test_many_way_union_bit_identical(self):
         rng = np.random.default_rng(42)
@@ -190,8 +226,62 @@ class TestLargerDeterministicCases:
             )
             for _ in range(24)
         ]
-        union = lambda: WahBitmap.union_all(bitmaps)
-        assert _kernel(union).words == _scalar(union).words
+        reference = ReferenceWah.union_all(
+            ReferenceWah.of(bitmap) for bitmap in bitmaps
+        )
+        assert WahBitmap.union_all(bitmaps).words == reference.words
+
+
+class TestRepresentation:
+    """One format: a read-only ``np.uint32`` array, end to end."""
+
+    @staticmethod
+    def _assert_word_array(bitmap: WahBitmap) -> None:
+        assert isinstance(bitmap._words, np.ndarray)
+        assert bitmap._words.dtype == np.uint32
+        assert not bitmap._words.flags.writeable
+
+    def test_every_op_returns_a_read_only_word_array(self):
+        a = WahBitmap.from_positions([1, 40, 41, 99], 100)
+        b = WahBitmap.ones(100)
+        for bitmap in _ops(a, b) + [
+            ~a,
+            a.concat(b),
+            WahBitmap.union_all([a, b]),
+            WahBitmap.zeros(100),
+            pickle.loads(pickle.dumps(a)),
+        ]:
+            self._assert_word_array(bitmap)
+
+    def test_kernels_return_uint32_arrays(self):
+        words = WahBitmap.from_positions([1, 40, 99], 100)._words
+        for result in (
+            kernels.encode_runs([2, 1], [0, 0b101]),
+            kernels.binary_words(words, words, "or"),
+            kernels.union_all_words([words, words]),
+            kernels.invert_words(words, 100),
+            kernels.concat_words(words, 100, words, 100),
+            kernels.positions_to_words(np.array([3, 70]), 100),
+        ):
+            assert isinstance(result, np.ndarray)
+            assert result.dtype == np.uint32
+
+    def test_deserialize_views_the_payload(self):
+        bitmap = WahBitmap.from_positions([5, 31, 500, 501], 1000)
+        payload = serialize_wah(bitmap)
+        restored = deserialize_wah(payload)
+        self._assert_word_array(restored)
+        assert np.shares_memory(
+            restored._words, np.frombuffer(payload, dtype=np.uint8)
+        )
+        assert restored == bitmap
+
+    def test_constructor_keeps_a_uint32_array_without_copying(self):
+        words = np.array([5, 0x80000002], dtype=np.uint32)
+        bitmap = WahBitmap(words, 93)
+        assert np.shares_memory(bitmap._words, words)
+        assert words.flags.writeable
+        assert WahBitmap([5, 0x80000002], 93) == bitmap
 
 
 class TestKernelPrimitives:
@@ -201,32 +291,32 @@ class TestKernelPrimitives:
             rng.choice(10_000, size=700, replace=False), 10_000
         )
         lengths, payloads = kernels.decode_words(bitmap.words)
-        assert kernels.encode_runs(lengths, payloads) == list(
+        assert kernels.encode_runs(lengths, payloads).tolist() == list(
             bitmap.words
         )
 
     def test_encode_splits_oversized_fills_like_scalar(self):
         huge = 3 * kernels.MAX_FILL_GROUPS + 5
         words = kernels.encode_runs([huge, 1], [0, 0b1010])
-        encoder = _WahEncoder()
+        encoder = WahEncoder()
         encoder.append_fill(0, huge)
         encoder.append_literal(0b1010)
-        assert words == encoder.words
+        assert words.tolist() == encoder.words
 
     def test_encode_collapses_uniform_literals(self):
         words = kernels.encode_runs(
             [1, 1, 1], [0, 0, LITERAL_PAYLOAD_MASK]
         )
-        encoder = _WahEncoder()
+        encoder = WahEncoder()
         encoder.append_literal(0)
         encoder.append_literal(0)
         encoder.append_literal(LITERAL_PAYLOAD_MASK)
-        assert words == encoder.words
+        assert words.tolist() == encoder.words
 
     def test_encode_expands_non_uniform_multi_group_runs(self):
         # Hand-built input violating the literal-length-1 invariant.
         words = kernels.encode_runs([3], [0b101])
-        assert words == [0b101, 0b101, 0b101]
+        assert words.tolist() == [0b101, 0b101, 0b101]
 
     def test_binary_words_rejects_group_count_mismatch(self):
         a = WahBitmap.zeros(62).words
@@ -246,16 +336,3 @@ class TestKernelPrimitives:
         ).astype(np.int64)
         expected = [int(v).bit_count() for v in values]
         assert kernels.popcount32(values).tolist() == expected
-
-    def test_mode_flag_roundtrip(self):
-        assert kernels.kernel_mode() in kernels.KERNEL_MODES
-        previous = kernels.set_kernel_mode("scalar")
-        try:
-            assert not kernels.kernels_enabled()
-            with kernels.use_kernel_mode("numpy"):
-                assert kernels.kernels_enabled()
-            assert kernels.kernel_mode() == "scalar"
-        finally:
-            kernels.set_kernel_mode(previous)
-        with pytest.raises(ValueError):
-            kernels.set_kernel_mode("cuda")
