@@ -4,8 +4,7 @@ PY := PYTHONPATH=src python
 
 .PHONY: test test-chaos test-crash test-stress test-shard \
 	test-ingest test-gateway test-resilience bench-wah-smoke \
-	bench-wah bench-serve-smoke bench-serve bench-gateway-smoke \
-	bench-gateway bench docs
+	bench-wah bench-repo-smoke bench-repo bench docs
 
 # Tier-1 verification (what CI must keep green).
 test:
@@ -53,9 +52,8 @@ test-gateway:
 test-resilience:
 	$(PY) -m pytest -m resilience -q
 
-# Tier-1-adjacent smoke: execute the WAH kernel micro-benchmark with
-# small operands and no timing assertions, emitting BENCH_wah.json so
-# every run leaves a performance record.
+# Smoke: execute the WAH kernel micro-benchmark with small operands
+# and no timing assertions; writes no record.
 bench-wah-smoke:
 	WAH_BENCH_MODE=check $(PY) -m pytest benchmarks/test_micro_wah_kernels.py -q
 
@@ -64,28 +62,18 @@ bench-wah-smoke:
 bench-wah:
 	WAH_BENCH_MODE=full $(PY) -m pytest benchmarks/test_micro_wah_kernels.py -q
 
-# Tier-1-adjacent smoke: execute the serving benchmark with a small
-# batch and no timing assertions, emitting BENCH_serve.json.
-bench-serve-smoke:
-	SERVE_BENCH_MODE=check $(PY) -m pytest benchmarks/test_serve_bench.py -q
+# Smoke: the repository benchmark (hcsbench) over every BENCHMARK.json
+# workload at one seed, smoke sizes and --seconds 1; prints its rows
+# and writes no file (exit 1 on a wrong answer).
+bench-repo-smoke:
+	python3 tools/bench_repo.py --smoke
 
-# Full-scale serving benchmark (asserts the 8-worker batch is >= 2x
-# faster than the serial loop and records the sweep in
-# BENCH_serve.json).
-bench-serve:
-	SERVE_BENCH_MODE=full $(PY) -m pytest benchmarks/test_serve_bench.py -q
-
-# Tier-1-adjacent smoke: drive the gateway client sweep with small
-# parameters and no throughput assertions, recording the rows under
-# the "gateway" key of BENCH_serve.json.
-bench-gateway-smoke:
-	SERVE_BENCH_MODE=check $(PY) -m pytest benchmarks/test_gateway_bench.py -q
-
-# Full-scale gateway benchmark (asserts the concurrent-client sweep
-# beats single-client throughput by >= 1.3x, every answer verified
-# against the serial oracle).
-bench-gateway:
-	SERVE_BENCH_MODE=full $(PY) -m pytest benchmarks/test_gateway_bench.py -q
+# The repository benchmark over every BENCHMARK.json workload at seeds
+# 101-105 and --seconds 10: writes one BENCH_repo.json row per workload
+# and seed, keyed by `git describe --always --dirty`, and keeps the
+# rows under other keys.
+bench-repo:
+	python3 tools/bench_repo.py
 
 # Regenerate every paper figure/table benchmark.
 bench:

@@ -113,7 +113,6 @@ from .serve import (
     Gateway,
     GatewayBatchRecord,
     GatewayConfig,
-    GatewayStats,
     QueryOutcome,
     Replica,
     ShardedBatchReport,
@@ -239,7 +238,6 @@ __all__ = [
     # gateway
     "Gateway",
     "GatewayConfig",
-    "GatewayStats",
     "GatewayBatchRecord",
     "Replica",
     "ShardedReplica",

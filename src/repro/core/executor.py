@@ -763,61 +763,16 @@ class QueryExecutor:
         workload: Workload,
         cut_node_ids=(),
         pin: bool = True,
-        parallelism: int = 1,
-        shards: int = 1,
-        appends=None,
     ) -> tuple[list[ExecutionResult], IOSnapshot]:
         """Execute every query of a workload against one cut.
 
         When ``pin`` is true the cut's bitmaps are pinned first (the
         Case-2/3 "read the cut once" semantics); per-query plans then
-        treat the members as cached.
-
-        ``parallelism > 1`` runs the queries concurrently through
-        :class:`repro.serve.BatchExecutor` over this executor's shared
-        pool; results still come back in workload order with exact
-        per-query IO attribution.
-
-        ``shards > 1`` serves the workload through
-        :class:`repro.serve.ShardedExecutor` instead: the column is
-        reconstructed from the catalog's leaf bitmaps, re-partitioned
-        into per-shard stores under a temporary directory, and scattered
-        across that many worker processes (each running ``parallelism``
-        threads).  Results are merged back to full-column answers,
-        bit-identical to the serial path; the returned snapshot is the
-        reconciled cross-shard IO delta for the batch (this executor's
-        own pool is not touched).
-
-        ``appends`` is a sequence of row batches (integer leaf-id
-        arrays) committed as delta generations *before* the workload
-        runs: the serial/batch path appends them to this executor's
-        durable store via :class:`~repro.storage.delta.DeltaAppender`
-        (a non-durable store raises
-        :class:`~repro.errors.StorageError`); the sharded path ingests
-        them into the fleet's last shard.  Answers then cover the
-        appended rows through merge-on-read.
+        treat the members as cached.  Concurrent serving of the same
+        workload is :class:`repro.serve.BatchExecutor` (threads over
+        this executor's pool) or :class:`repro.serve.ShardedExecutor`
+        (row-sharded worker processes).
         """
-        if parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {parallelism}"
-            )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1:
-            return self._execute_workload_sharded(
-                workload, cut_node_ids, pin, parallelism, shards,
-                appends,
-            )
-        if appends is not None:
-            # Imported lazily to keep executor importable without the
-            # durable-store stack in play.
-            from ..storage.delta import DeltaAppender
-
-            appender = DeltaAppender(
-                self._catalog.store, self._catalog.hierarchy
-            )
-            for batch in appends:
-                appender.append(np.asarray(batch))
         if pin and cut_node_ids:
             self.pin_cut(cut_node_ids)
         # Plans may only assume cut members are resident when the pool
@@ -825,76 +780,10 @@ class QueryExecutor:
         # like any other bitmap, so predicting with node_is_cached=True
         # would undercount the measured IO (Alg. 2 cost vs. Eq. 4).
         node_is_cached = pin and bool(cut_node_ids)
-        if parallelism == 1:
-            results = [
-                self.execute_query(
-                    query, cut_node_ids, node_is_cached=node_is_cached
-                )
-                for query in workload
-            ]
-        else:
-            # Imported lazily: repro.serve wraps this executor, so a
-            # module-level import would be circular.
-            from ..serve import BatchExecutor
-
-            report = BatchExecutor(
-                self, max_workers=parallelism
-            ).run(
-                workload,
-                cut_node_ids,
-                pin=False,
-                node_is_cached=node_is_cached,
+        results = [
+            self.execute_query(
+                query, cut_node_ids, node_is_cached=node_is_cached
             )
-            results = list(report.results)
+            for query in workload
+        ]
         return results, self._pool.accountant.snapshot()
-
-    def _execute_workload_sharded(
-        self,
-        workload: Workload,
-        cut_node_ids,
-        pin: bool,
-        parallelism: int,
-        shards: int,
-        appends=None,
-    ) -> tuple[list[ExecutionResult], IOSnapshot]:
-        """Serve a workload scatter-gather over row shards.
-
-        Builds per-shard stores in a temporary directory from the
-        column reconstructed out of this catalog's leaf bitmaps,
-        ingests any append batches into the fleet, runs the batch
-        across spawn-started worker processes, and verifies the
-        cross-process reconciliation before returning the merged
-        results.
-        """
-        import tempfile
-
-        # Imported lazily: repro.serve wraps this executor, so a
-        # module-level import would be circular.
-        from ..serve.sharded import ShardedExecutor
-
-        cut = tuple(cut_node_ids)
-        with tempfile.TemporaryDirectory() as tmp:
-            sharded = ShardedExecutor.build(
-                self._catalog.hierarchy,
-                self._catalog.reconstruct_column(),
-                shards,
-                tmp,
-                threads_per_shard=parallelism,
-                # Delta generations are manifest-committed, so append
-                # batches need durable shard stores.
-                durable=appends is not None,
-            )
-            with sharded:
-                for batch in appends or ():
-                    sharded.ingest(np.asarray(batch))
-                sharded.prepare(
-                    workload,
-                    cut_node_ids=cut if cut else None,
-                )
-                report = sharded.run(workload, pin=pin)
-        if not report.reconciles():
-            raise RuntimeError(
-                "sharded IO accounting failed to reconcile across "
-                "process boundaries"
-            )
-        return list(report.results), report.io

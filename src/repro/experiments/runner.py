@@ -60,8 +60,6 @@ from . import (
     fig10_case3_sizes,
     fig11_opt_time_hierarchy,
     fig12_opt_time_queries,
-    gateway_bench,
-    serve_bench,
     table_incomplete_cuts,
 )
 from .common import ExperimentResult
@@ -98,8 +96,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ablation-costmodel": ablations.run_costmodel_ablation,
     "ablation-kcut": ablations.run_kcut_replacement_ablation,
     "compression": compression.run,
-    "serve": serve_bench.run,
-    "gateway": gateway_bench.run,
 }
 
 #: Cheaper parameters for smoke runs (--fast).
@@ -117,19 +113,6 @@ _FAST_OVERRIDES: dict[str, dict] = {
     "fig11": {"hierarchy_sizes": (250, 500, 1000), "num_queries": 50},
     "fig12": {"query_counts": (50, 100, 200), "num_leaves": 500},
     "compression": {"num_bits": 400_000},
-    "serve": {
-        "num_queries": 8,
-        "num_rows": 20_000,
-        "worker_counts": (1, 4),
-        "shard_configs": ((2, 2),),
-        "slow_delay_s": 0.0005,
-    },
-    "gateway": {
-        "num_queries": 12,
-        "num_rows": 20_000,
-        "client_counts": (1, 4),
-        "slow_delay_s": 0.0005,
-    },
 }
 
 
@@ -137,17 +120,11 @@ def run_experiment(
     name: str,
     fast: bool = False,
     runs: int | None = None,
-    parallel: int | None = None,
-    shards: int | None = None,
 ) -> ExperimentResult:
     """Run one experiment by name, optionally with fast parameters.
 
     ``runs`` overrides the number of seeded repetitions for the
-    experiments that average (the paper uses 10).  ``parallel``
-    overrides the worker count for the experiments that serve
-    concurrently (``serve`` and ``gateway``); ``shards`` overrides
-    their shard-process count the same way; other experiments ignore
-    both.
+    experiments that average (the paper uses 10).
     """
     try:
         runner = EXPERIMENTS[name]
@@ -162,12 +139,6 @@ def run_experiment(
     parameters = inspect.signature(runner).parameters
     if runs is not None and "runs" in parameters:
         kwargs["runs"] = runs
-    if parallel is not None and "parallel" in parameters:
-        kwargs["parallel"] = parallel
-        kwargs.pop("worker_counts", None)
-    if shards is not None and "shards" in parameters:
-        kwargs["shards"] = shards
-        kwargs.pop("shard_configs", None)
     return runner(**kwargs)
 
 
@@ -373,31 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve concurrent experiments with N worker threads "
-            "('serve': sweeps 1 and N workers and verifies the "
-            "concurrent answers against the serial oracle; 'gateway': "
-            "sets the backend thread-pool width)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve the concurrent experiments with N shard worker "
-            "processes (currently 'serve': scatter-gathers the batch "
-            "across N per-shard stores, each running --parallel "
-            "threads, and verifies the merged answers against the "
-            "serial oracle; 1 disables the shard sweep)"
-        ),
-    )
-    parser.add_argument(
         "--fault-rate",
         type=float,
         default=0.0,
@@ -490,11 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             started = time.perf_counter()
             result = run_experiment(
-                name,
-                fast=args.fast,
-                runs=args.runs,
-                parallel=args.parallel,
-                shards=args.shards,
+                name, fast=args.fast, runs=args.runs
             )
             elapsed = time.perf_counter() - started
             print(result.to_text())

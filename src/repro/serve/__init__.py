@@ -39,7 +39,6 @@ from .gateway import (
     GatewayBatchRecord,
     GatewayConfig,
     GatewayHedgeRecord,
-    GatewayStats,
     Replica,
     ShardedReplica,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "GatewayBatchRecord",
     "GatewayConfig",
     "GatewayHedgeRecord",
-    "GatewayStats",
     "QueryOutcome",
     "Replica",
     "ReplicaState",

@@ -30,9 +30,10 @@ front-end the ROADMAP asks for:
   ``gateway_request_seconds`` (p50/p95/p99 via the registry's
   quantile-capable histograms) next to queue-depth and batch-size
   histograms, per-priority latency/shed series, and
-  ``gateway_requests_total{status=...}`` counters.
-  :meth:`Gateway.stats` is a view of that registry, so it works
-  without any ambient registry installed.
+  ``gateway_requests_total{status=...}`` counters.  The registry is
+  the gateway's whole reporting surface (with
+  :meth:`Gateway.replica_states` for the fleet), so it reads the same
+  with or without an ambient registry installed.
 * **One attempt schedule.**  The gateway holds N *replicas* —
   independent serving fleets over the same logical column — and
   serves each micro-batch on one schedule: try replica A now, try B
@@ -73,7 +74,7 @@ import json
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import (
@@ -101,13 +102,9 @@ __all__ = [
     "GatewayBatchRecord",
     "GatewayConfig",
     "GatewayHedgeRecord",
-    "GatewayStats",
     "Replica",
     "ShardedReplica",
 ]
-
-#: Latency-histogram quantiles the gateway reports (the SLO trio).
-SLO_QUANTILES = (0.50, 0.95, 0.99)
 
 #: Bound on a gateway's history.  Batch and hedge records keep the
 #: newest this many (each holds its backend report and every answer
@@ -427,9 +424,9 @@ class BatchReplica(Replica):
     """A replica backed by an in-process thread-pool
     :class:`~repro.serve.batch.BatchExecutor`.
 
-    Useful on single-core hosts (and in the gateway experiment's CI
-    runs) where process fleets buy nothing.  Health is probed for real
-    via :attr:`~repro.serve.batch.BatchExecutor.healthy` (cheap store
+    Useful on single-core hosts where process fleets buy nothing.
+    Health is probed for real via
+    :attr:`~repro.serve.batch.BatchExecutor.healthy` (cheap store
     metadata, not a query), so the supervisor can notice a store that
     went away underneath the executor; the inherited :meth:`revive`
     succeeds exactly when that store is readable again.
@@ -536,72 +533,6 @@ class GatewayHedgeRecord:
     def discarded(self) -> bool:
         """Whether this attempt's work was thrown away (a loser)."""
         return not self.used
-
-
-@dataclass
-class GatewayStats:
-    """A point-in-time view of the gateway's metrics registry.
-
-    :meth:`Gateway.stats` derives every field from
-    :attr:`Gateway.metrics` except the replica counts, which come from
-    the lifecycle states.
-
-    Attributes:
-        requests_total: requests submitted (admitted or shed).
-        ok: requests answered within their deadline.
-        shed: requests refused or evicted at admission (queue full).
-        deadline_queued: deadlines that expired while queued.
-        deadline_inflight: deadlines that expired during execution.
-        failed: requests whose query raised (typed per-query errors)
-            or whose every replica failed.
-        batches: backend batches dispatched (empty flushes excluded).
-        empty_flushes: micro-batches that emptied out (every member
-            expired while queued) and were never sent to a backend.
-        failovers: failed replica attempts (each one a failover).
-        hedges: hedge requests dispatched.
-        hedges_won: hedged batches answered by the hedge replica.
-        breaker_opens: circuit-breaker trips (rolling per-query
-            failure windows).
-        readmissions: suspected replicas returned to ``ACTIVE`` after
-            passing a canary probe.
-        replicas_healthy: replicas in ``ACTIVE`` rotation.
-        replicas_suspected: replicas out of rotation but still being
-            probed (``SUSPECTED`` or ``PROBATION``).
-        replicas_dead: replicas whose probe budget is exhausted.
-        queue_depth_peak: highest observed intake-queue depth.
-        shed_by_priority: sheds per priority class (refusals and
-            evictions combined).
-        latency_p50_s: median request latency (seconds).
-        latency_p95_s: 95th-percentile request latency.
-        latency_p99_s: 99th-percentile request latency.
-    """
-
-    requests_total: int = 0
-    ok: int = 0
-    shed: int = 0
-    deadline_queued: int = 0
-    deadline_inflight: int = 0
-    failed: int = 0
-    batches: int = 0
-    empty_flushes: int = 0
-    failovers: int = 0
-    hedges: int = 0
-    hedges_won: int = 0
-    breaker_opens: int = 0
-    readmissions: int = 0
-    replicas_healthy: int = 0
-    replicas_suspected: int = 0
-    replicas_dead: int = 0
-    queue_depth_peak: int = 0
-    shed_by_priority: dict[str, int] = field(default_factory=dict)
-    latency_p50_s: float = 0.0
-    latency_p95_s: float = 0.0
-    latency_p99_s: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready snapshot (what ``hcs-experiments gateway``
-        prints per sweep row)."""
-        return dict(vars(self))
 
 
 @dataclass
@@ -835,63 +766,10 @@ class Gateway:
     @property
     def metrics(self) -> MetricsRegistry:
         """The gateway's own registry: every event it recorded,
-        whatever ambient registry is installed (:meth:`stats` reads
-        it)."""
+        whatever ambient registry is installed (request outcomes,
+        sheds, failovers, hedges, breaker opens, re-admissions, and
+        the latency, batch-size and queue-depth histograms)."""
         return self._metrics
-
-    def stats(self) -> GatewayStats:
-        """Snapshot the SLO counters: a view of :attr:`metrics` plus
-        the replicas' lifecycle states."""
-        metrics = self._metrics
-
-        def count(name: str, **labels: Any) -> int:
-            return int(metrics.counter_sum(name, **labels))
-
-        depth = metrics.histogram("gateway_queue_depth")
-        latency = metrics.histogram("gateway_request_seconds")
-        p50, p95, p99 = (latency.quantile(q) for q in SLO_QUANTILES)
-        states = list(self.replica_states().values())
-        shed_by_priority = {
-            priority: count("gateway_sheds_total", priority=priority)
-            for priority in self._config.priority_classes
-        }
-        return GatewayStats(
-            # Each admitted request samples the queue depth once;
-            # refused requests never enter the queue.
-            requests_total=depth.count
-            + count("gateway_sheds_total", kind="refused"),
-            # Each terminal status names the field that counts it.
-            **{
-                status: count("gateway_requests_total", status=status)
-                for status in (
-                    "ok",
-                    "shed",
-                    "deadline_queued",
-                    "deadline_inflight",
-                    "failed",
-                )
-            },
-            batches=count("gateway_batches_total"),
-            empty_flushes=count("gateway_empty_flushes_total"),
-            failovers=count("gateway_failovers_total"),
-            hedges=count("gateway_hedges_total", outcome="fired"),
-            hedges_won=count("gateway_hedges_total", outcome="won"),
-            breaker_opens=count("gateway_breaker_opens_total"),
-            readmissions=count("gateway_readmissions_total"),
-            replicas_healthy=states.count("active"),
-            replicas_suspected=states.count("suspected")
-            + states.count("probation"),
-            replicas_dead=states.count("dead"),
-            queue_depth_peak=int(depth.max) if depth.count else 0,
-            shed_by_priority={
-                priority: sheds
-                for priority, sheds in shed_by_priority.items()
-                if sheds
-            },
-            latency_p50_s=p50,
-            latency_p95_s=p95,
-            latency_p99_s=p99,
-        )
 
     # ------------------------------------------------------------------
     async def start(self) -> None:

@@ -406,26 +406,3 @@ class MaterializedNodeCatalog(NodeCatalog):
         if not self._store.exists(name):
             raise StorageError(f"no bitmap stored for node {node_id}")
         return deserialize_wah(self._store.read(name))
-
-    def reconstruct_column(self) -> np.ndarray:
-        """Rebuild the indexed column from the leaf bitmaps.
-
-        The leaf bitmaps partition the rows (every row's value is
-        exactly one leaf), so scattering each leaf's set positions back
-        to its leaf value reproduces the original column — no external
-        copy needed.  Used by sharded execution to re-partition an
-        already-materialized index into per-shard stores.
-        """
-        column = np.empty(self.num_rows, dtype=np.int64)
-        covered = 0
-        for leaf_value in range(self._hierarchy.num_leaves):
-            node_id = self._hierarchy.leaf_node_id(leaf_value)
-            positions = self.bitmap(node_id).to_positions()
-            column[positions] = leaf_value
-            covered += int(positions.size)
-        if covered != self.num_rows:
-            raise StorageError(
-                f"leaf bitmaps cover {covered} rows but the catalog "
-                f"has {self.num_rows}; index is inconsistent"
-            )
-        return column

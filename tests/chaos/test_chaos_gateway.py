@@ -136,17 +136,21 @@ class TestGatewayShardKillFailover:
                 )
                 return (
                     results,
-                    gateway.stats(),
+                    gateway.metrics,
+                    gateway.replica_states(),
                     gateway.batch_records,
                     gateway.events,
                 )
 
-        results, stats, records, events = asyncio.run(scenario())
+        results, metrics, states, records, events = asyncio.run(
+            scenario()
+        )
         for query, result in zip(QUERIES, results):
             assert result.answer == oracle[query]
-        assert stats.failovers >= 1
-        assert stats.ok == len(QUERIES)
-        assert stats.replicas_healthy == 1
+        count = metrics.counter_sum
+        assert count("gateway_failovers_total") >= 1
+        assert count("gateway_requests_total", status="ok") == len(QUERIES)
+        assert list(states.values()).count("active") == 1
         assert any(
             event.kind == "gateway.failover" for event in events
         )
@@ -193,16 +197,18 @@ class TestGatewayShardKillFailover:
                 results = await asyncio.gather(*pending)
                 return (
                     results,
-                    gateway.stats(),
+                    gateway.metrics,
+                    gateway.replica_states(),
                     gateway.batch_records,
                 )
 
-        results, stats, records = asyncio.run(scenario())
+        results, metrics, states, records = asyncio.run(scenario())
         for query, result in zip(QUERIES, results):
             assert result.answer == oracle[query]
-        assert stats.failovers >= 1
-        assert stats.ok == len(QUERIES)
-        assert stats.replicas_healthy == 1
+        count = metrics.counter_sum
+        assert count("gateway_failovers_total") >= 1
+        assert count("gateway_requests_total", status="ok") == len(QUERIES)
+        assert list(states.values()).count("active") == 1
         answered = [record for record in records if record.size]
         assert answered
         for record in answered:

@@ -164,7 +164,10 @@ class TestSequentialKillReAdmission:
                     await _poll(
                         lambda: gateway.replica_states()
                         == {0: "active", 1: "active"}
-                        and gateway.stats().readmissions >= kills
+                        and gateway.metrics.counter_sum(
+                            "gateway_readmissions_total"
+                        )
+                        >= kills
                     )
                     waves.append(await wave(gateway))
                 states = gateway.replica_states()
@@ -174,14 +177,14 @@ class TestSequentialKillReAdmission:
                 assert replica_b.executor.healthy
                 return (
                     waves,
-                    gateway.stats(),
+                    gateway.metrics,
                     gateway.batch_records,
                     gateway.hedge_records,
                     gateway.events,
                     states,
                 )
 
-        waves, stats, records, hedges, events, states = asyncio.run(
+        waves, metrics, records, hedges, events, states = asyncio.run(
             scenario()
         )
         # Every wave, before/during/after each kill, is
@@ -192,9 +195,7 @@ class TestSequentialKillReAdmission:
                 assert result.answer == oracle[query]
         # Both killed replicas came back: zero fleet drain.
         assert states == {0: "active", 1: "active"}
-        assert stats.replicas_healthy == 2
-        assert stats.replicas_dead == 0
-        assert stats.readmissions >= 2
+        assert metrics.counter_sum("gateway_readmissions_total") >= 2
         # Each kill was detected (by batch failover or by the
         # supervisor's health scan — whichever saw it first) and the
         # victim left rotation before coming back.
@@ -205,7 +206,9 @@ class TestSequentialKillReAdmission:
             and event.attrs["to"] == "suspected"
         }
         assert suspected_ids == {"replica-0", "replica-1"}
-        assert stats.ok == len(waves) * len(QUERIES)
+        assert metrics.counter_sum(
+            "gateway_requests_total", status="ok"
+        ) == len(waves) * len(QUERIES)
         readmits = [
             event for event in events if event.kind == "gateway.readmit"
         ]
@@ -285,16 +288,17 @@ class TestHedgeReconciliation:
                 )
                 return (
                     results,
-                    gateway.stats(),
+                    gateway.metrics,
                     gateway.batch_records,
                     gateway.hedge_records,
                 )
 
-        results, stats, records, hedges = asyncio.run(scenario())
+        results, metrics, records, hedges = asyncio.run(scenario())
         for query, result in zip(QUERIES, results):
             assert result.answer == oracle[query]
-        assert stats.hedges == 1
-        assert stats.hedges_won == 1
+        count = metrics.counter_sum
+        assert count("gateway_hedges_total", outcome="fired") == 1
+        assert count("gateway_hedges_total", outcome="won") == 1
         hedged = [record for record in records if record.hedged]
         assert len(hedged) == 1
         assert hedged[0].replica_id == 1

@@ -218,8 +218,6 @@ class TestRunner:
             "ablation-strategies",
             "ablation-costmodel",
             "ablation-kcut",
-            "serve",
-            "gateway",
         }
         assert set(EXPERIMENTS) == expected
 

@@ -147,17 +147,21 @@ class TestSubmit:
                 results = await asyncio.gather(
                     *(gateway.submit(query) for query in QUERIES)
                 )
-                return results, gateway.stats()
+                return results, gateway.metrics
 
-        results, stats = asyncio.run(scenario())
+        results, metrics = asyncio.run(scenario())
         for query, result in zip(QUERIES, results):
             assert result.answer.words == _expected_answer(
                 query
             ).words
-        assert stats.ok == len(QUERIES)
-        assert stats.requests_total == len(QUERIES)
-        assert stats.shed == 0
-        assert stats.batches >= 1
+        count = metrics.counter_sum
+        assert count("gateway_requests_total", status="ok") == len(QUERIES)
+        # Every request was admitted (one queue-depth sample each).
+        assert metrics.histogram("gateway_queue_depth").count == len(
+            QUERIES
+        )
+        assert count("gateway_sheds_total") == 0
+        assert count("gateway_batches_total") >= 1
 
     def test_micro_batches_respect_the_size_bound(self):
         config = GatewayConfig(
@@ -216,17 +220,21 @@ class TestDeadlines:
                     await gateway.submit(
                         QUERIES[0], deadline_s=0.001
                     )
-                return info.value, gateway.stats()
+                return info.value, gateway.metrics
 
-        error, stats = asyncio.run(scenario())
+        error, metrics = asyncio.run(scenario())
+        count = metrics.counter_sum
         assert error.phase == "queued"
-        assert stats.deadline_queued == 1
-        assert stats.deadline_inflight == 0
+        assert count("gateway_requests_total", status="deadline_queued") == 1
+        assert (
+            count("gateway_requests_total", status="deadline_inflight")
+            == 0
+        )
         # The whole batch expired, so the flush was empty and no
         # backend batch ran at all.
         assert replica.batches_run == 0
-        assert stats.empty_flushes == 1
-        assert stats.batches == 0
+        assert count("gateway_empty_flushes_total") == 1
+        assert count("gateway_batches_total") == 0
 
     def test_deadline_expiring_in_flight(self):
         """A request overtaken by a slow backend fails with phase
@@ -248,9 +256,9 @@ class TestDeadlines:
                 results = await asyncio.gather(
                     doomed, healthy, return_exceptions=True
                 )
-                return results, gateway.stats()
+                return results, gateway.metrics
 
-        (doomed_result, healthy_result), stats = asyncio.run(
+        (doomed_result, healthy_result), metrics = asyncio.run(
             scenario()
         )
         assert isinstance(doomed_result, DeadlineExceededError)
@@ -258,8 +266,12 @@ class TestDeadlines:
         assert healthy_result.answer.words == _expected_answer(
             QUERIES[1]
         ).words
-        assert stats.deadline_inflight == 1
-        assert stats.ok == 1
+        count = metrics.counter_sum
+        assert (
+            count("gateway_requests_total", status="deadline_inflight")
+            == 1
+        )
+        assert count("gateway_requests_total", status="ok") == 1
         # Both rode one dispatched batch; the backend did run it.
         assert replica.batches_run == 1
 
@@ -281,17 +293,17 @@ class TestDeadlines:
                     ),
                     return_exceptions=True,
                 )
-                return results, gateway.stats(), gateway.events
+                return results, gateway.metrics, gateway.events
 
-        results, stats, events = asyncio.run(scenario())
+        results, metrics, events = asyncio.run(scenario())
         assert all(
             isinstance(result, DeadlineExceededError)
             and result.phase == "queued"
             for result in results
         )
         assert replica.batches_run == 0
-        assert stats.empty_flushes >= 1
-        assert stats.batches == 0
+        assert metrics.counter_sum("gateway_empty_flushes_total") >= 1
+        assert metrics.counter_sum("gateway_batches_total") == 0
         kinds = {event.kind for event in events}
         assert "gateway.empty_flush" in kinds
         assert "gateway.batch" not in kinds
@@ -334,10 +346,10 @@ class TestAdmissionControl:
                     await gateway.submit(QUERIES[4])
                 release.set()
                 results = await asyncio.gather(*admitted)
-                return info.value, results, gateway.stats()
+                return info.value, results, gateway.metrics
 
         try:
-            error, results, stats = asyncio.run(scenario())
+            error, results, metrics = asyncio.run(scenario())
         finally:
             release.set()
         assert error.queue_depth == 2
@@ -346,10 +358,14 @@ class TestAdmissionControl:
             assert result.answer.words == _expected_answer(
                 query
             ).words
-        assert stats.shed == 1
-        assert stats.ok == 4
-        assert stats.requests_total == 5
-        assert stats.queue_depth_peak <= config.max_queue_depth
+        count = metrics.counter_sum
+        assert count("gateway_requests_total", status="shed") == 1
+        assert count("gateway_requests_total", status="ok") == 4
+        # Four admits (one queue-depth sample each) and one refusal.
+        depth = metrics.histogram("gateway_queue_depth")
+        assert depth.count == 4
+        assert count("gateway_sheds_total", kind="refused") == 1
+        assert depth.max <= config.max_queue_depth
 
 
 class TestFailover:
@@ -369,7 +385,8 @@ class TestFailover:
                 return (
                     first,
                     second,
-                    gateway.stats(),
+                    gateway.metrics,
+                    gateway.replica_states(),
                     gateway.batch_records,
                     gateway.events,
                     tuple(
@@ -378,17 +395,17 @@ class TestFailover:
                     ),
                 )
 
-        first, second, stats, records, events, healthy = asyncio.run(
-            scenario()
-        )
+        (
+            first, second, metrics, states, records, events, healthy
+        ) = asyncio.run(scenario())
         assert first.answer.words == _expected_answer(
             QUERIES[0]
         ).words
         assert second.answer.words == _expected_answer(
             QUERIES[1]
         ).words
-        assert stats.failovers == 1
-        assert stats.replicas_healthy == 1
+        assert metrics.counter_sum("gateway_failovers_total") == 1
+        assert list(states.values()).count("active") == 1
         assert healthy == (1,)
         assert bad.closed
         assert bad.batches_run == 1  # never retried after retirement
@@ -453,15 +470,22 @@ class TestFailover:
                 # fast with the same typed error.
                 with pytest.raises(AllReplicasFailedError):
                     await gateway.submit(QUERIES[1])
-                return info.value, gateway.stats()
+                return (
+                    info.value,
+                    gateway.metrics,
+                    gateway.replica_states(),
+                )
 
-        error, stats = asyncio.run(scenario())
+        error, metrics, states = asyncio.run(scenario())
         assert [
             (replica_id, error_type)
             for replica_id, error_type, _ in error.attempts
         ] == [(0, "ShardFailedError"), (1, "ShardFailedError")]
-        assert stats.replicas_healthy == 0
-        assert stats.failed == 2
+        assert list(states.values()).count("active") == 0
+        assert (
+            metrics.counter_sum("gateway_requests_total", status="failed")
+            == 2
+        )
 
     def test_failover_to_real_replica_reconciles_byte_exactly(
         self, materialized_setup
@@ -493,15 +517,16 @@ class TestFailover:
                 results = await asyncio.gather(
                     *(gateway.submit(query) for query in QUERIES)
                 )
-                return results, gateway.stats(), (
+                return results, gateway.metrics, (
                     gateway.batch_records
                 )
 
-        results, stats, records = asyncio.run(scenario())
+        results, metrics, records = asyncio.run(scenario())
         for query, result in zip(QUERIES, results):
             assert result.answer == scan_answer(column, query)
-        assert stats.failovers == 1
-        assert stats.ok == len(QUERIES)
+        count = metrics.counter_sum
+        assert count("gateway_failovers_total") == 1
+        assert count("gateway_requests_total", status="ok") == len(QUERIES)
         for record in records:
             assert record.replica_id == 1
             assert record.report.reconciles()
@@ -594,11 +619,16 @@ class TestBoundedHistory:
                 return (
                     gateway.batch_records,
                     gateway.events,
-                    gateway.stats(),
+                    gateway.metrics,
                 )
 
-        records, events, stats = asyncio.run(scenario())
-        assert stats.batches == stats.ok == served
+        records, events, metrics = asyncio.run(scenario())
+        count = metrics.counter_sum
+        assert (
+            count("gateway_batches_total")
+            == count("gateway_requests_total", status="ok")
+            == served
+        )
         assert [record.batch_id for record in records] == list(
             range(served - HISTORY_LIMIT, served)
         )
@@ -642,17 +672,21 @@ class TestSloMetrics:
                 await asyncio.gather(
                     *(gateway.submit(query) for query in QUERIES)
                 )
-                return gateway.stats()
+                return gateway.metrics
 
-        stats = asyncio.run(scenario())
+        metrics = asyncio.run(scenario())
+        latency = metrics.histogram("gateway_request_seconds")
         assert (
             0
-            < stats.latency_p50_s
-            <= stats.latency_p95_s
-            <= stats.latency_p99_s
+            < latency.quantile(0.50)
+            <= latency.quantile(0.95)
+            <= latency.quantile(0.99)
         )
-        payload = stats.to_dict()
-        assert payload["ok"] == len(QUERIES)
+        payload = metrics.to_dict()
+        assert (
+            payload["counters"]["gateway_requests_total{status=ok}"]
+            == len(QUERIES)
+        )
 
     def test_trace_events_carry_no_wall_clock_data(self):
         async def scenario():
@@ -915,17 +949,19 @@ class TestTcp:
                 server.close()
                 await server.wait_closed()
                 return bad, good, gateway.replica_states(), (
-                    gateway.stats()
+                    gateway.metrics
                 )
 
-        bad, good, states, stats = asyncio.run(scenario())
+        bad, good, states, metrics = asyncio.run(scenario())
         for response in bad:
             assert response["status"] == "error"
             assert response["error"] == "WorkloadError"
             assert response["detail"] == {"retryable": False}
         assert states == {0: "active"}
-        assert stats.breaker_opens == 0
-        assert stats.requests_total == 1
+        assert metrics.counter_sum("gateway_breaker_opens_total") == 0
+        # Only the valid request reached admission.
+        assert metrics.histogram("gateway_queue_depth").count == 1
+        assert metrics.counter_sum("gateway_sheds_total") == 0
         assert good["status"] == "ok"
         assert good["count"] == scan_answer(column, valid).count()
 

@@ -208,7 +208,11 @@ class TestLifecycleUnits:
                 for query in (ok, bad, ok, ok, ok, ok, bad, bad):
                     with contextlib.suppress(QueryFailedError):
                         await gateway.submit(query)
-                    opens.append(gateway.stats().breaker_opens)
+                    opens.append(
+                        gateway.metrics.counter_sum(
+                            "gateway_breaker_opens_total"
+                        )
+                    )
                 return opens, gateway.replica_states(), gateway.events
 
         opens, states, events = asyncio.run(scenario())
@@ -304,7 +308,10 @@ class TestReAdmission:
                     await _poll(
                         lambda: gateway.replica_states()
                         == {0: "active", 1: "active"}
-                        and gateway.stats().readmissions >= 1
+                        and gateway.metrics.counter_sum(
+                            "gateway_readmissions_total"
+                        )
+                        >= 1
                     )
                     # The re-admitted replica serves real traffic.
                     await asyncio.gather(
@@ -313,18 +320,21 @@ class TestReAdmission:
                     await _poll(lambda: flaky.batches_run >= 1)
                     return (
                         results,
-                        gateway.stats(),
+                        gateway.metrics,
+                        gateway.replica_states(),
                         gateway.events,
                         metrics,
                     )
 
-        results, stats, events, counters = asyncio.run(scenario())
+        results, own, states, events, counters = asyncio.run(
+            scenario()
+        )
         for query, result in zip(QUERIES, results):
             assert result.answer.words == _expected_answer(query).words
-        assert stats.failovers >= 1
-        assert stats.readmissions >= 1
-        assert stats.replicas_healthy == 2
-        assert stats.replicas_dead == 0
+        assert own.counter_sum("gateway_failovers_total") >= 1
+        assert own.counter_sum("gateway_readmissions_total") >= 1
+        assert list(states.values()).count("active") == 2
+        assert list(states.values()).count("dead") == 0
         kinds = [event.kind for event in events]
         assert "gateway.readmit" in kinds
         transitions = [
@@ -370,17 +380,20 @@ class TestReAdmission:
                     )
                     return (
                         results,
-                        gateway.stats(),
+                        gateway.metrics,
+                        gateway.replica_states(),
                         gateway.events,
                         metrics,
                     )
 
-        results, stats, events, counters = asyncio.run(scenario())
+        results, own, states, events, counters = asyncio.run(
+            scenario()
+        )
         for query, result in zip(QUERIES, results):
             assert result.answer.words == _expected_answer(query).words
-        assert stats.replicas_dead == 1
-        assert stats.replicas_healthy == 1
-        assert stats.readmissions == 0
+        assert list(states.values()).count("dead") == 1
+        assert list(states.values()).count("active") == 1
+        assert own.counter_sum("gateway_readmissions_total") == 0
         reasons = [
             event.attrs["reason"]
             for event in events
@@ -416,11 +429,11 @@ class TestReAdmission:
                     *(gateway.submit(q) for q in QUERIES)
                 )
                 await asyncio.sleep(0.2)
-                return gateway.replica_states(), gateway.stats()
+                return gateway.replica_states(), gateway.metrics
 
-        states, stats = asyncio.run(scenario())
+        states, own = asyncio.run(scenario())
         assert states == {0: "dead", 1: "active"}
-        assert stats.readmissions == 0
+        assert own.counter_sum("gateway_readmissions_total") == 0
 
 
 class TestCircuitBreaker:
@@ -449,18 +462,21 @@ class TestCircuitBreaker:
                     )
                     return (
                         results,
-                        gateway.stats(),
+                        gateway.metrics,
+                        gateway.replica_states(),
                         gateway.events,
                         metrics,
                     )
 
-        results, stats, events, counters = asyncio.run(scenario())
+        results, own, states, events, counters = asyncio.run(
+            scenario()
+        )
         assert all(
             isinstance(result, QueryFailedError)
             for result in results
         )
-        assert stats.breaker_opens == 1
-        assert stats.replicas_dead == 1
+        assert own.counter_sum("gateway_breaker_opens_total") == 1
+        assert list(states.values()).count("dead") == 1
         opens = [
             event
             for event in events
@@ -499,23 +515,24 @@ class TestHedging:
                     )
                     return (
                         results,
-                        gateway.stats(),
+                        gateway.metrics,
+                        gateway.replica_states(),
                         gateway.batch_records,
                         gateway.hedge_records,
                         gateway.events,
                         metrics,
                     )
 
-        results, stats, records, hedges, events, counters = (
+        results, own, states, records, hedges, events, counters = (
             asyncio.run(scenario())
         )
         for query, result in zip(QUERIES, results):
             assert result.answer.words == _expected_answer(query).words
-        assert stats.hedges == 1
-        assert stats.hedges_won == 1
+        assert own.counter_sum("gateway_hedges_total", outcome="fired") == 1
+        assert own.counter_sum("gateway_hedges_total", outcome="won") == 1
         # No replica failed: hedging is latency-driven, not failover.
-        assert stats.failovers == 0
-        assert stats.replicas_healthy == 2
+        assert own.counter_sum("gateway_failovers_total") == 0
+        assert list(states.values()).count("active") == 2
         hedged = [record for record in records if record.hedged]
         assert len(hedged) == 1
         assert hedged[0].replica_id == 1
@@ -581,16 +598,16 @@ class TestHedging:
                     )
                     return (
                         results,
-                        gateway.stats(),
+                        gateway.metrics,
                         gateway.hedge_records,
                         metrics,
                     )
 
-        results, stats, hedges, counters = asyncio.run(scenario())
+        results, own, hedges, counters = asyncio.run(scenario())
         for query, result in zip(QUERIES, results):
             assert result.answer.words == _expected_answer(query).words
-        assert stats.hedges == 1
-        assert stats.hedges_won == 0
+        assert own.counter_sum("gateway_hedges_total", outcome="fired") == 1
+        assert own.counter_sum("gateway_hedges_total", outcome="won") == 0
         winner = next(record for record in hedges if record.used)
         assert winner.role == "primary"
         assert winner.replica_id == 0
@@ -672,7 +689,7 @@ class TestAttemptSchedule:
             answer, gateway = asyncio.run(scenario())
         failed = sum(replica.failed_attempts for replica in replicas)
         assert metrics.counter_sum("gateway_failovers_total") == failed
-        assert gateway.stats().failovers == failed
+        assert gateway.metrics.counter_sum("gateway_failovers_total") == failed
         failover_ids = [
             int(event.name.removeprefix("replica-"))
             for event in gateway.events
@@ -760,12 +777,12 @@ class TestPriorityAdmission:
                     refused.value,
                     [task.exception() for task in evicted],
                     results,
-                    gateway.stats(),
+                    gateway.metrics,
                     gateway.events,
                 )
 
         try:
-            refused, evictions, results, stats, events = asyncio.run(
+            refused, evictions, results, own, events = asyncio.run(
                 scenario()
             )
         finally:
@@ -779,9 +796,10 @@ class TestPriorityAdmission:
         # Everything still queued (including the high) completes:
         # two head requests, two surviving fillers, and the high.
         assert len(results) == 5
-        assert stats.shed == 2
-        assert stats.shed_by_priority == {"low": 2}
-        assert stats.shed_by_priority.get("high", 0) == 0
+        assert own.counter_sum("gateway_requests_total", status="shed") == 2
+        assert own.counter_sum("gateway_sheds_total") == 2
+        assert own.counter_sum("gateway_sheds_total", priority="low") == 2
+        assert own.counter_sum("gateway_sheds_total", priority="high") == 0
         sheds = [
             event for event in events if event.kind == "gateway.shed"
         ]

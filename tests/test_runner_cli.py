@@ -37,25 +37,6 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
 
-    @pytest.mark.shard
-    def test_serve_shards_flag_runs_the_shard_sweep(self, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--fast",
-                    "--shards",
-                    "2",
-                    "--parallel",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "sharded" in out
-        assert "completed in" in out
-
 
 class TestRunExperiment:
     def test_runs_parameter_ignored_when_unsupported(self):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.core.executor import QueryExecutor, scan_answer
@@ -340,47 +339,3 @@ class TestShardFailure:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.shard_id == 2
         assert str(clone) == str(error)
-
-
-class TestExecuteWorkloadSharded:
-    def test_sharded_workload_matches_the_serial_path(
-        self, materialized_setup
-    ):
-        _hierarchy, _column, catalog = materialized_setup
-        workload = Workload(QUERIES)
-        cut = select_cut_multi(catalog, workload).cut.node_ids
-        serial_results, _serial_io = QueryExecutor(
-            catalog, BufferPool(catalog.store)
-        ).execute_workload(workload, cut)
-        sharded_results, sharded_io = QueryExecutor(
-            catalog, BufferPool(catalog.store)
-        ).execute_workload(
-            workload, cut, parallelism=2, shards=2
-        )
-        assert len(sharded_results) == len(serial_results)
-        for ours, theirs in zip(
-            sharded_results, serial_results
-        ):
-            assert (
-                ours.answer.words == theirs.answer.words
-            )
-        assert sharded_io.bytes_read > 0
-
-    def test_shards_below_one_are_rejected(
-        self, materialized_setup
-    ):
-        _hierarchy, _column, catalog = materialized_setup
-        with pytest.raises(ValueError):
-            QueryExecutor(
-                catalog, BufferPool(catalog.store)
-            ).execute_workload(Workload(QUERIES), (), shards=0)
-
-
-class TestReconstructColumn:
-    def test_round_trips_the_indexed_column(
-        self, materialized_setup
-    ):
-        _hierarchy, column, catalog = materialized_setup
-        assert np.array_equal(
-            catalog.reconstruct_column(), column
-        )

@@ -33,8 +33,8 @@ HEADER = """\
      Regenerate with: PYTHONPATH=src python tools/gen_cli_docs.py
      tools/check_docs.py fails CI when this page is stale. -->
 
-One binary drives everything: paper experiments, serving benchmarks,
-and index maintenance.  Installed as `hcs-experiments` (or run as
+One binary drives the paper experiments and index maintenance.
+Installed as `hcs-experiments` (or run as
 `PYTHONPATH=src python -m repro.experiments.runner`).
 """
 
@@ -140,12 +140,6 @@ def render() -> str:
 # One paper figure, quickly:
 hcs-experiments fig6 --fast
 
-# The serving sweep with 8 worker threads and 4 shard processes:
-hcs-experiments serve --parallel 8 --shards 4
-
-# The gateway sweep (concurrent clients through admission control):
-hcs-experiments gateway --fast
-
 # Everything, with metrics written out:
 hcs-experiments all --fast --metrics-out metrics.json
 
@@ -159,7 +153,7 @@ hcs-experiments scrub --store-dir /data/hcs-index \\
 
 See [the operator guide](gateway.md) for serving the index behind the
 asyncio gateway, and [Concurrent serving](serving.md) for the
-thread/shard compute tiers these commands benchmark."""
+thread/shard compute tiers; `make bench-repo` measures serving."""
     )
     lines.append("")
     return "\n".join(lines)
