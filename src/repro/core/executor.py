@@ -41,7 +41,6 @@ from ..bitmap.serialization import (
     codec_name,
     deserialize_wah,
     payload_codec,
-    serialize_wah,
 )
 from ..bitmap.wah import WahBitmap
 from ..errors import (
@@ -145,13 +144,9 @@ class QueryExecutor:
             attempts); ``RetryPolicy(max_attempts=1)`` disables retries
             but keeps degradation.
         allow_degraded: when false, unreadable nodes raise instead of
-            being recovered from descendants.
-        online_repair: when true, a successful degraded recovery also
-            writes the re-derived canonical payload back to the store
-            (healing the file in place, not just the query) and drops
-            any cached copy of the damaged bytes.  Write failures are
-            swallowed — repair is opportunistic; the query already has
-            its answer.
+            being recovered from descendants.  Recovery heals the
+            query, not the file: :class:`~repro.storage.scrub.Scrubber`
+            is the one repair path.
     """
 
     def __init__(
@@ -161,7 +156,6 @@ class QueryExecutor:
         verify: bool = False,
         retry_policy: RetryPolicy | None = None,
         allow_degraded: bool = True,
-        online_repair: bool = False,
     ):
         self._catalog = catalog
         self._pool = (
@@ -172,7 +166,6 @@ class QueryExecutor:
         self._verify = verify
         self._retry = retry_policy or DEFAULT_DECODE_RETRY
         self._allow_degraded = allow_degraded
-        self._online_repair = online_repair
 
     # ------------------------------------------------------------------
     @property
@@ -212,16 +205,16 @@ class QueryExecutor:
         name: str,
         node_id: int,
         events: list[DegradedRead] | None,
-        recover,
+        delta: DeltaManifest | None = None,
     ) -> tuple[WahBitmap, bool]:
         """Read and decode one bitmap file, retrying as needed.
 
         Attempt 1 goes through the pool's cache; later attempts force
         a fresh fetch (a cached copy that failed its checksum is stale
         by definition).  If every attempt fails and ``events`` is
-        given, ``recover(node_id, name, attempts, last_error,
-        events)`` supplies the bitmap instead; the returned flag says
-        whether that recovery path ran.
+        given, :meth:`_recover` supplies the bitmap instead (from
+        ``delta``'s files when the file is a delta tail); the returned
+        flag says whether that recovery path ran.
         """
         metrics = get_metrics()
         last_error: Exception | None = None
@@ -268,7 +261,10 @@ class QueryExecutor:
         assert last_error is not None
         if events is None or not self._allow_degraded:
             raise last_error
-        return recover(node_id, name, attempts, last_error, events), True
+        recovered = self._recover(
+            node_id, name, attempts, last_error, events, delta
+        )
+        return recovered, True
 
     def _note_degraded(
         self,
@@ -321,13 +317,11 @@ class QueryExecutor:
         name = node_file_name(node_id)
         manifest = self._manifest_snapshot()
         if manifest is None:
-            bitmap, _ = self._read_bitmap_file(
-                name, node_id, events, self._recover_base
-            )
+            bitmap, _ = self._read_bitmap_file(name, node_id, events)
             return bitmap
         for attempt in range(3):
             base, recovered = self._read_bitmap_file(
-                name, node_id, events, self._recover_base
+                name, node_id, events
             )
             if recovered:
                 # The children unioned by the recovery were themselves
@@ -410,17 +404,24 @@ class QueryExecutor:
             f"merge-on-read of node {node_id} did not converge"
         )
 
-    def _recover_base(
+    def _recover(
         self,
         node_id: int,
         name: str,
         attempts: int,
         last_error: Exception,
         events: list[DegradedRead],
+        delta: DeltaManifest | None,
     ) -> WahBitmap:
-        """Recover an unreadable node as the union of its children's
-        *effective* (merged) bitmaps — so the recovery covers the full
-        row range, deltas included."""
+        """Recover an unreadable node file as the union of its
+        children's bitmaps (B_n == OR of children's).
+
+        A base file unions the children's *effective* (merged)
+        bitmaps, so the recovery covers the full row range, deltas
+        included.  A delta tail unions the *same generation's* child
+        tails: the identity holds over the batch's rows alone.  A leaf
+        has no children to recover from, so its loss is fatal.
+        """
         node = self._catalog.hierarchy.node(node_id)
         if node.is_leaf:
             raise UnrecoverableReadError(
@@ -430,25 +431,21 @@ class QueryExecutor:
                 f"attempts and has no descendants to recover from "
                 f"({last_error})",
             ) from last_error
-        # Hierarchical degradation: B_n == OR of children's bitmaps.
-        parts = [
-            self._bitmap(child, events) for child in node.children
-        ]
-        recovered = WahBitmap.union_all(
-            parts, num_bits=self._num_rows()
-        )
+        if delta is None:
+            parts = [
+                self._bitmap(child, events) for child in node.children
+            ]
+            num_bits = self._num_rows()
+        else:
+            parts = [
+                self._delta_bitmap(delta, child, events)
+                for child in node.children
+            ]
+            num_bits = delta.num_rows
+        recovered = WahBitmap.union_all(parts, num_bits=num_bits)
         self._note_degraded(
             node_id, name, attempts, last_error, events, node.children
         )
-        manifest = self._manifest_snapshot()
-        if self._online_repair and (
-            manifest is None or not manifest.deltas
-        ):
-            # With live deltas the recovered bitmap spans base +
-            # appended rows; writing it over the base file would make
-            # merge-on-read double-count the deltas.  Compaction (or a
-            # scrub) heals the file instead.
-            self._repair_online(node_id, name, recovered)
         return recovered
 
     def _delta_bitmap(
@@ -458,51 +455,9 @@ class QueryExecutor:
         events: list[DegradedRead] | None,
     ) -> WahBitmap:
         """One delta generation's tail bitmap for a node, with the
-        same retry/degrade ladder as base reads.
-
-        An unreadable internal delta file is recovered as the union of
-        the *same generation's* child tails (the OR-of-children
-        identity holds over the batch's rows alone); an unreadable
-        leaf tail is fatal, exactly like an unreadable base leaf.
-        """
-
-        def recover(
-            node_id: int,
-            name: str,
-            attempts: int,
-            last_error: Exception,
-            events: list[DegradedRead],
-        ) -> WahBitmap:
-            node = self._catalog.hierarchy.node(node_id)
-            if node.is_leaf:
-                raise UnrecoverableReadError(
-                    name,
-                    0,
-                    f"delta {delta.seq} tail of leaf node {node_id} "
-                    f"unreadable after {attempts} attempts and has "
-                    f"no descendants to recover from ({last_error})",
-                ) from last_error
-            parts = [
-                self._delta_bitmap(delta, child, events)
-                for child in node.children
-            ]
-            recovered = WahBitmap.union_all(
-                parts, num_bits=delta.num_rows
-            )
-            self._note_degraded(
-                node_id,
-                name,
-                attempts,
-                last_error,
-                events,
-                node.children,
-            )
-            return recovered
-
+        same retry/degrade ladder as base reads."""
         name = delta_file_name(delta.seq, node_id)
-        bitmap, _ = self._read_bitmap_file(
-            name, node_id, events, recover
-        )
+        bitmap, _ = self._read_bitmap_file(name, node_id, events, delta)
         if bitmap.num_bits != delta.num_rows:
             raise StorageError(
                 f"{name!r} decodes to {bitmap.num_bits} bits but "
@@ -510,37 +465,6 @@ class QueryExecutor:
                 f"{delta.num_rows} rows"
             )
         return bitmap
-
-    def _repair_online(
-        self, node_id: int, name: str, recovered: WahBitmap
-    ) -> None:
-        """Write a recovered bitmap back over its damaged file.
-
-        Serialization is canonical, so the healed payload is exactly
-        what a fresh build would have written.  The cached (damaged)
-        copy is invalidated first so no reader resurrects it; a store
-        that cannot be written (read-only, failing) just leaves the
-        degradation in place — the next scrub will handle it.
-        """
-        payload = serialize_wah(recovered)
-        self._pool.invalidate(name)
-        try:
-            self._catalog.store.write(name, payload)
-        except StorageError as err:
-            record(
-                "executor.repair-failed",
-                name,
-                node_id=node_id,
-                error=f"{type(err).__name__}: {err}",
-            )
-            return
-        record(
-            "executor.repair",
-            name,
-            node_id=node_id,
-            nbytes=len(payload),
-        )
-        get_metrics().inc("online_repairs_total")
 
     def _leaf_bitmap(
         self,

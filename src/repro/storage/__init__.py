@@ -40,7 +40,6 @@ from .manifest import (
     MANIFEST_FORMAT_VERSION,
     MANIFEST_NAME,
     QUARANTINE_DIR_NAME,
-    DeltaBuild,
     DeltaManifest,
     DurableBitmapStore,
     IndexBuild,
@@ -70,7 +69,6 @@ __all__ = [
     "hierarchy_fingerprint",
     "physical_file_name",
     "DeltaManifest",
-    "DeltaBuild",
     "delta_file_name",
     "parse_delta_file_name",
     "DeltaAppender",

@@ -5,18 +5,19 @@ one read per node per query.  The :class:`Compactor` bounds that read
 amplification: it folds the oldest ``max_deltas_per_run`` delta
 generations into a new base generation — per node,
 ``base.concat(delta_1).concat(delta_2)...`` in seq order, the same
-canonical WAH concatenation merge-on-read performs — and commits the
-result through the ordinary manifest-swap protocol.  The rename of the
-MANIFEST is the commit point; the post-commit GC sweep then reclaims
-the superseded base files and the folded delta files.  A crash at any
-step leaves the store serving exactly the old state or exactly the new
-one, which the compaction crash matrix asserts cell by cell.
+canonical WAH concatenation merge-on-read performs — and stages and
+commits the result as one :class:`~repro.storage.manifest.IndexBuild`
+with a fold transform.  The rename of the MANIFEST is the commit
+point; the post-commit sweep then reclaims the superseded base files
+and the folded delta files.  A crash at any step leaves the store
+serving exactly the old state or exactly the new one, which the
+compaction crash matrix asserts cell by cell.
 
 Compaction reads bytes straight from disk (CRC-verified against the
 manifest, bypassing the read-fault injector): folding must fold what
 is *actually committed*, and a store failing its own checksums needs a
-scrub, not a compaction — so a mismatch aborts with a typed
-:class:`~repro.errors.StorageError` before anything is staged.
+scrub, not a compaction — so a mismatch aborts the build (deleting
+what it staged) with a typed :class:`~repro.errors.StorageError`.
 
 :class:`BackgroundCompactor` runs the same fold on a daemon thread
 with a delta-count threshold, the deployment shape the sharded serving
@@ -26,20 +27,14 @@ path uses (each shard compacts its own store).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..bitmap.serialization import deserialize_wah, serialize_wah
 from ..errors import StorageError
 from ..obs import get_metrics, record
 from .accounting import IOAccountant
 from .catalog import node_id_from_file_name
-from .manifest import (
-    DurableBitmapStore,
-    Manifest,
-    ManifestEntry,
-    delta_file_name,
-    physical_file_name,
-)
+from .manifest import DurableBitmapStore, IndexBuild, delta_file_name
 
 __all__ = ["CompactionReport", "Compactor", "BackgroundCompactor"]
 
@@ -156,65 +151,57 @@ class Compactor:
             deltas = manifest.deltas
             if not deltas:
                 return _noop_report(manifest.generation)
-            limit = self._max_deltas or len(deltas)
-            fold = deltas[:limit]
-            remaining = deltas[limit:]
+            fold = deltas[: self._max_deltas or len(deltas)]
             folded_rows = sum(delta.num_rows for delta in fold)
-            generation = manifest.generation + 1
             expected_bits = manifest.num_rows + folded_rows
-            staged: dict[str, ManifestEntry] = {}
+
+            def folded(base, staged):
+                # Staged node bases replace theirs; any other base
+                # entry is carried forward on its same physical file.
+                return replace(
+                    base,
+                    entries={**base.entries, **staged},
+                    num_rows=expected_bits,
+                    deltas=base.deltas[len(fold):],
+                )
+
             bytes_read = 0
             bytes_written = 0
-            files_written = 0
-            for name, entry in sorted(manifest.entries.items()):
-                node_id = node_id_from_file_name(name)
-                if node_id is None:
-                    # Not a node bitmap: carried forward untouched
-                    # (same physical file, still referenced).
-                    staged[name] = entry
-                    continue
-                base_payload = self._verified_payload(name, entry)
-                bytes_read += len(base_payload)
-                merged = deserialize_wah(base_payload)
-                for delta in fold:
-                    dname = delta_file_name(delta.seq, node_id)
-                    dentry = delta.entries.get(dname)
-                    if dentry is None:
-                        raise StorageError(
-                            f"refusing to compact: delta generation "
-                            f"{delta.seq} has no entry for {dname!r}; "
-                            f"run scrub first"
+            with IndexBuild(store, folded) as build:
+                for name, entry in sorted(manifest.entries.items()):
+                    node_id = node_id_from_file_name(name)
+                    if node_id is None:
+                        continue
+                    base_payload = self._verified_payload(name, entry)
+                    bytes_read += len(base_payload)
+                    merged = deserialize_wah(base_payload)
+                    for delta in fold:
+                        dname = delta_file_name(delta.seq, node_id)
+                        dentry = delta.entries.get(dname)
+                        if dentry is None:
+                            raise StorageError(
+                                f"refusing to compact: delta "
+                                f"generation {delta.seq} has no entry "
+                                f"for {dname!r}; run scrub first"
+                            )
+                        dpayload = self._verified_payload(
+                            dname, dentry
                         )
-                    dpayload = self._verified_payload(dname, dentry)
-                    bytes_read += len(dpayload)
-                    merged = merged.concat(
-                        deserialize_wah(dpayload)
-                    )
-                if merged.num_bits != expected_bits:
-                    raise StorageError(
-                        f"compaction of {name!r} produced "
-                        f"{merged.num_bits} bits, expected "
-                        f"{expected_bits}"
-                    )
-                payload = serialize_wah(merged)
-                physical = physical_file_name(generation, name)
-                store._write_physical(physical, payload)
-                staged[name] = ManifestEntry.for_payload(
-                    name, physical, payload
-                )
-                bytes_written += len(payload)
-                files_written += 1
-            new_manifest = Manifest(
-                generation=generation,
-                entries=staged,
-                hierarchy_fingerprint=(
-                    manifest.hierarchy_fingerprint
-                ),
-                num_rows=expected_bits,
-                deltas=remaining,
-                delta_seq=manifest.delta_seq,
-            )
-            store._commit_manifest(new_manifest)
+                        bytes_read += len(dpayload)
+                        merged = merged.concat(
+                            deserialize_wah(dpayload)
+                        )
+                    if merged.num_bits != expected_bits:
+                        raise StorageError(
+                            f"compaction of {name!r} produced "
+                            f"{merged.num_bits} bits, expected "
+                            f"{expected_bits}"
+                        )
+                    payload = serialize_wah(merged)
+                    build.add(name, payload)
+                    bytes_written += len(payload)
+            generation = build.generation
+            files_written = len(build.staged_names)
         record(
             "compact.run",
             f"g{generation:08d}",

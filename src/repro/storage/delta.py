@@ -5,8 +5,9 @@ appended batch would cost a full index write.  Instead,
 :class:`DeltaAppender` turns a batch of appended rows into one small
 *delta generation*: per hierarchy node, the WAH tail bitmap covering
 only the batch (zero tails compress to a single fill word), committed
-atomically through the same tmp + fsync + manifest-swap protocol as a
-full build (:class:`~repro.storage.manifest.DeltaBuild`).
+atomically as one :class:`~repro.storage.manifest.IndexBuild`, the
+same tmp + fsync + manifest-swap protocol as a full build
+(:meth:`~repro.storage.manifest.DurableBitmapStore.begin_delta`).
 
 Readers merge on read — a node's effective bitmap is
 ``base.concat(delta_1).concat(delta_2)...`` in seq order, which for
@@ -27,7 +28,7 @@ from ..bitmap.wah import WahBitmap
 from ..errors import StorageError, WorkloadError
 from ..hierarchy.tree import Hierarchy
 from ..obs import get_metrics, record
-from .manifest import DurableBitmapStore
+from .manifest import DurableBitmapStore, delta_file_name
 
 __all__ = ["DeltaAppendResult", "DeltaAppender"]
 
@@ -73,10 +74,9 @@ class DeltaAppendResult:
 class DeltaAppender:
     """Stages and commits per-node delta bitmaps for appended rows.
 
-    One appender serializes all appends to its store (it holds the
-    store's reorg lock across staging and commit), so concurrent
-    callers cannot race a sequence number or interleave with a
-    compaction's manifest swap.
+    An append holds the store's reorg lock across staging and commit,
+    so no other commit (another append, a compaction, a build) can
+    land in between and refuse it.
 
     Args:
         store: the durable store holding the base generation.  Must
@@ -156,7 +156,7 @@ class DeltaAppender:
                     payload = serialize_wah(
                         WahBitmap.from_positions(positions, batch)
                     )
-                    delta.add(node_id, payload)
+                    delta.add(delta_file_name(seq, node_id), payload)
                     bytes_written += len(payload)
                 files_written = len(delta.staged_names)
         record(

@@ -146,7 +146,7 @@ class BitmapFileStore:
         self,
         path: Path,
         payload: bytes,
-        label_prefix: str = "write",
+        label_prefix: str | None = "write",
     ) -> None:
         """Write ``payload`` to ``path`` via tmp + fsync + rename.
 
@@ -154,9 +154,10 @@ class BitmapFileStore:
         prefix ``write``) and by the manifest commit protocol (label
         prefix ``commit.manifest``), with crash points
         ``<prefix>.begin`` / ``<prefix>.torn`` / ``<prefix>.rename``
-        consulted between steps.  The caller wraps ``OSError``.
+        consulted between steps; ``None`` consults none.  The caller
+        wraps ``OSError``.
         """
-        policy = self._fault_policy
+        policy = self._fault_policy if label_prefix else None
         tmp = path.with_name(f".{path.name}.tmp")
         prefix: int | None = None
         if policy is not None:

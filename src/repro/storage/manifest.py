@@ -9,14 +9,17 @@ fingerprint of the hierarchy the index was built for.
 
 The lifecycle guarantees:
 
-* **Atomic builds** — :meth:`DurableBitmapStore.begin_build` stages
-  every bitmap of the next generation under ``g<generation>-`` physical
-  names that nothing references yet, then commits by atomically
-  replacing the ``MANIFEST`` (tmp + fsync + rename + directory fsync).
-  A crash at *any* byte of the build or commit leaves the directory
-  describing exactly the old generation or exactly the new one — never
-  a mixture — because readers resolve logical names only through the
-  manifest.
+* **Atomic builds** — every manifest change (a rebuild, a single
+  write, a delta append, a compaction, a delete, a repair) is one
+  :class:`IndexBuild`: it reserves a generation number no other build
+  of the store has used, stages its bitmaps under ``g<generation>-``
+  physical names that nothing references yet, then commits by
+  atomically replacing the ``MANIFEST`` (tmp + fsync + rename +
+  directory fsync).  A crash at *any* byte of the build or commit
+  leaves the directory describing exactly the old generation or
+  exactly the new one — never a mixture — because readers resolve
+  logical names only through the manifest.  A build that something
+  else committed ahead of is refused, never merged.
 * **Startup recovery** — opening a directory validates the manifest
   (self-checksum, format version, referenced files present with the
   recorded sizes), garbage-collects orphaned staging files left by
@@ -40,8 +43,8 @@ import json
 import os
 import threading
 import zlib
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
 from types import TracebackType
 
 from ..errors import (
@@ -63,7 +66,6 @@ __all__ = [
     "Manifest",
     "DeltaManifest",
     "IndexBuild",
-    "DeltaBuild",
     "DurableBitmapStore",
     "hierarchy_fingerprint",
     "physical_file_name",
@@ -362,33 +364,62 @@ class Manifest:
             delta.num_rows for delta in self.deltas
         )
 
-    def without(self, name: str) -> "Manifest":
-        """A next-generation manifest with one entry (base or delta)
-        removed and everything else carried forward."""
-        return Manifest(
-            generation=self.generation + 1,
+    def without(self, *names: str) -> "Manifest":
+        """This manifest with the named entries (base or delta)
+        dropped and everything else carried forward."""
+        drop = set(names)
+        return replace(
+            self,
             entries={
-                other: value
-                for other, value in self.entries.items()
-                if other != name
+                name: entry
+                for name, entry in self.entries.items()
+                if name not in drop
             },
-            hierarchy_fingerprint=self.hierarchy_fingerprint,
-            num_rows=self.num_rows,
             deltas=tuple(
-                DeltaManifest(
-                    seq=delta.seq,
-                    num_rows=delta.num_rows,
+                replace(
+                    delta,
                     entries={
-                        other: value
-                        for other, value in delta.entries.items()
-                        if other != name
+                        name: entry
+                        for name, entry in delta.entries.items()
+                        if name not in drop
                     },
                 )
-                if name in delta.entries
-                else delta
                 for delta in self.deltas
             ),
-            delta_seq=self.delta_seq,
+        )
+
+    def replacing(
+        self, staged: dict[str, "ManifestEntry"]
+    ) -> "Manifest":
+        """This manifest with each staged entry replacing the entry of
+        the same name.
+
+        A staged name that belongs to a live delta generation (a
+        repaired delta file) goes back into that generation's entry
+        set; every other name goes into the base.
+        """
+        live = {delta.seq for delta in self.deltas}
+        entries = dict(self.entries)
+        into_delta: dict[int, dict[str, ManifestEntry]] = {}
+        for name, entry in staged.items():
+            parsed = parse_delta_file_name(name)
+            if parsed is not None and parsed[0] in live:
+                into_delta.setdefault(parsed[0], {})[name] = entry
+            else:
+                entries[name] = entry
+        return replace(
+            self,
+            entries=entries,
+            deltas=tuple(
+                replace(
+                    delta,
+                    entries={
+                        **delta.entries,
+                        **into_delta.get(delta.seq, {}),
+                    },
+                )
+                for delta in self.deltas
+            ),
         )
 
     def to_bytes(self) -> bytes:
@@ -502,40 +533,55 @@ class Manifest:
         )
 
 
+#: How a build turns the manifest it began from plus the entries it
+#: staged into the manifest it commits.  The build stamps its reserved
+#: generation on the result.
+ManifestTransform = Callable[[Manifest, dict[str, ManifestEntry]], Manifest]
+
+
 class IndexBuild:
-    """One staged build targeting a store's next generation.
+    """One staged change to a store's manifest.
 
-    Created via :meth:`DurableBitmapStore.begin_build`; usable as a
-    context manager (commit on clean exit, abort on error).  Staged
-    files live under the next generation's physical names, which
-    nothing references until :meth:`commit` atomically replaces the
-    manifest — so an aborted or crashed build is invisible to readers
-    and its leftovers are garbage-collected at the next open.
+    Every manifest change outside open-time recovery is one build: a
+    rebuild or partial update (:meth:`DurableBitmapStore.begin_build`),
+    a delta generation (:meth:`DurableBitmapStore.begin_delta`), a
+    compaction fold, a delete and a quarantine.  They differ only in the
+    ``transform`` applied at :meth:`commit`.
 
-    A :class:`~repro.errors.SimulatedCrashError` escaping the ``with``
-    block deliberately skips the abort cleanup: the injected crash must
-    leave the directory exactly as a real process death would.
+    Creating a build reserves a generation number no other build of
+    the store has used; staged files live under that generation's
+    physical names, which nothing references until :meth:`commit`
+    atomically replaces the manifest.  So an aborted or crashed build
+    is invisible to readers, its leftovers are swept at the next
+    commit or open, and no two builds ever share a physical name.
+    :meth:`commit` refuses a build that anything committed ahead of.
+
+    Usable as a context manager: commit on clean exit, abort on error
+    or refusal.  A :class:`~repro.errors.SimulatedCrashError` escaping
+    the ``with`` block deliberately skips the abort cleanup: the
+    injected crash must leave the directory exactly as a real process
+    death would.
     """
 
     def __init__(
-        self,
-        store: "DurableBitmapStore",
-        hierarchy_fingerprint: str,
-        num_rows: int,
-        replace_all: bool,
+        self, store: "DurableBitmapStore", transform: ManifestTransform
     ):
         self._store = store
-        self._generation = store.generation + 1
-        self._fingerprint = hierarchy_fingerprint
-        self._num_rows = num_rows
-        self._replace_all = replace_all
+        self._transform = transform
+        self._base, self._generation = store._reserve_generation()
         self._staged: dict[str, ManifestEntry] = {}
         self._closed = False
 
     @property
     def generation(self) -> int:
-        """The generation this build will commit as."""
+        """The generation this build stages under and commits as."""
         return self._generation
+
+    @property
+    def seq(self) -> int:
+        """The delta seq a generation appended by this build commits
+        as: the store's next delta seq when the build began."""
+        return self._base.delta_seq + 1
 
     @property
     def staged_names(self) -> tuple[str, ...]:
@@ -549,11 +595,11 @@ class IndexBuild:
             )
 
     def add(self, name: str, payload: bytes) -> None:
-        """Stage one bitmap file for this generation.
+        """Stage one bitmap file under this build's generation.
 
-        The payload is written (atomically, fsynced) under the next
-        generation's physical name; the live generation is untouched.
-        Re-adding a name replaces its staged payload.
+        The payload is written (atomically, fsynced) under the build's
+        physical name; the live generation is untouched.  Re-adding a
+        name replaces its staged payload.
         """
         self._check_open()
         payload = bytes(payload)
@@ -567,73 +613,52 @@ class IndexBuild:
         """Atomically publish the staged generation.
 
         Replaces the manifest via tmp + fsync + rename + directory
-        fsync — the rename is the commit point — then garbage-collects
-        the physical files of the previous generation.  A crash before
-        the rename leaves the old generation fully live; a crash after
-        it leaves the new generation fully live (the GC re-runs at the
+        fsync — the rename is the commit point — then sweeps every
+        file the new manifest does not reference.  A crash before the
+        rename leaves the old generation fully live; a crash after it
+        leaves the new generation fully live (the sweep re-runs at the
         next open).
 
-        ``replace_all=True`` (a full rebuild) supersedes the live
-        delta generations along with the old base — the rebuild was
-        computed from the full current column.  ``replace_all=False``
-        (a partial update such as a scrub repair) carries live deltas
-        forward untouched, and routes any staged name that belongs to
-        a live delta generation (a repaired delta file) back into that
-        generation's entry set rather than shadowing it in the base.
+        Raises :class:`~repro.errors.StorageError` (and leaves the
+        build open for :meth:`abort`) when any other build committed
+        since this one began: its staged files were computed against a
+        manifest that is no longer live.
         """
         self._check_open()
         store = self._store
         with store._reorg_lock:
             previous = store.manifest
-            staged_base = dict(self._staged)
-            deltas: tuple[DeltaManifest, ...] = ()
-            if not self._replace_all:
-                live_seqs = {
-                    delta.seq for delta in previous.deltas
-                }
-                staged_delta: dict[int, dict[str, ManifestEntry]] = {}
-                for name in list(staged_base):
-                    parsed = parse_delta_file_name(name)
-                    if parsed is not None and parsed[0] in live_seqs:
-                        staged_delta.setdefault(parsed[0], {})[
-                            name
-                        ] = staged_base.pop(name)
-                entries = {**previous.entries, **staged_base}
-                deltas = tuple(
-                    DeltaManifest(
-                        seq=delta.seq,
-                        num_rows=delta.num_rows,
-                        entries={
-                            **delta.entries,
-                            **staged_delta[delta.seq],
-                        },
-                    )
-                    if delta.seq in staged_delta
-                    else delta
-                    for delta in previous.deltas
+            if previous.generation != self._base.generation:
+                raise StorageError(
+                    f"refusing stale build of generation "
+                    f"{self._generation}: it began at generation "
+                    f"{self._base.generation}, but generation "
+                    f"{previous.generation} committed since; "
+                    f"serialize appends through one DeltaAppender "
+                    f"and retry the build"
                 )
-            else:
-                entries = staged_base
-            manifest = Manifest(
+            manifest = replace(
+                self._transform(previous, dict(self._staged)),
                 generation=self._generation,
-                entries=entries,
-                hierarchy_fingerprint=(
-                    self._fingerprint
-                    or previous.hierarchy_fingerprint
-                ),
-                num_rows=self._num_rows or previous.num_rows,
-                deltas=deltas,
-                delta_seq=previous.delta_seq,
             )
             store._commit_manifest(manifest)
-        self._closed = True
+            self._closed = True
+        metrics = get_metrics()
+        delta_attrs = {}
+        if manifest.delta_seq != previous.delta_seq:
+            delta_attrs = {
+                "seq": manifest.delta_seq,
+                "rows": manifest.deltas[-1].num_rows,
+            }
+            metrics.inc("delta_commits_total")
         record(
             "manifest.commit",
             MANIFEST_NAME,
             generation=self._generation,
-            files=len(entries),
+            files=len(self._staged),
+            **delta_attrs,
         )
-        get_metrics().inc("manifest_commits_total")
+        metrics.inc("manifest_commits_total")
         return manifest
 
     def abort(self) -> None:
@@ -644,7 +669,7 @@ class IndexBuild:
             try:
                 self._store._delete_physical(entry.physical)
             except StorageError:
-                pass  # orphans are GC'd at the next open
+                pass  # swept at the next commit or open
 
     def __enter__(self) -> "IndexBuild":
         return self
@@ -655,173 +680,21 @@ class IndexBuild:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
+        if self._closed:
+            return
         if exc_type is None:
-            if not self._closed:
+            try:
                 self.commit()
+            except StorageError:
+                self.abort()
+                raise
             return
         if isinstance(exc, SimulatedCrashError):
             # A real crash runs no cleanup; neither does an injected
             # one — recovery at the next open is what's under test.
             self._closed = True
             return
-        if not self._closed:
-            self.abort()
-
-
-class DeltaBuild:
-    """One staged delta generation: a batch of appended rows.
-
-    Created via :meth:`DurableBitmapStore.begin_delta`; usable as a
-    context manager exactly like :class:`IndexBuild` (commit on clean
-    exit, abort on error, a :class:`~repro.errors.SimulatedCrashError`
-    escapes without cleanup).  Staged files are written under the next
-    generation's physical names through the same atomic
-    write-tmp-fsync-rename path as base files, and :meth:`commit`
-    publishes them with the same manifest-swap protocol — so the
-    delta-commit crash matrix inherits every crash point the base
-    build already proves.
-
-    Committing never unreferences anything (the old base and older
-    deltas all stay live), so the post-commit GC sweep is a no-op;
-    deltas are reclaimed only by compaction.
-
-    The store's reorg lock is held for the builder's whole lifetime
-    (taken by :meth:`DurableBitmapStore.begin_delta`'s caller,
-    :class:`~repro.storage.delta.DeltaAppender`, or by :meth:`commit`
-    itself for direct users), serializing delta commits against
-    compaction so neither can drop the other's freshly committed
-    state.
-    """
-
-    def __init__(self, store: "DurableBitmapStore", num_rows: int):
-        if num_rows <= 0:
-            raise ValueError(
-                f"a delta generation must append at least one row, "
-                f"got num_rows={num_rows}"
-            )
-        self._store = store
-        self._num_rows = num_rows
-        self._seq = store.manifest.delta_seq + 1
-        self._generation = store.generation + 1
-        self._staged: dict[str, ManifestEntry] = {}
-        self._closed = False
-
-    @property
-    def seq(self) -> int:
-        """The delta sequence number this build will commit as."""
-        return self._seq
-
-    @property
-    def generation(self) -> int:
-        """The manifest generation this build will commit as."""
-        return self._generation
-
-    @property
-    def staged_names(self) -> tuple[str, ...]:
-        """Logical delta names staged so far, in insertion order."""
-        return tuple(self._staged)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError(
-                "delta build already committed or aborted"
-            )
-
-    def add(self, node_id: int, payload: bytes) -> str:
-        """Stage one node's delta tail bitmap; returns its logical
-        name.
-
-        The payload is written (atomically, fsynced) under the next
-        generation's physical name; nothing references it until
-        :meth:`commit`.
-        """
-        self._check_open()
-        payload = bytes(payload)
-        name = delta_file_name(self._seq, node_id)
-        physical = physical_file_name(self._generation, name)
-        self._store._write_physical(physical, payload)
-        self._staged[name] = ManifestEntry.for_payload(
-            name, physical, payload
-        )
-        return name
-
-    def commit(self) -> Manifest:
-        """Atomically publish the staged delta generation.
-
-        The new manifest keeps the base entries and every older delta
-        untouched and appends one :class:`DeltaManifest`; the rename
-        of the MANIFEST file is the commit point, exactly as for a
-        base build.
-        """
-        self._check_open()
-        store = self._store
-        with store._reorg_lock:
-            previous = store.manifest
-            if previous.delta_seq >= self._seq:
-                raise StorageError(
-                    f"delta seq {self._seq} was assigned "
-                    f"concurrently (store is at "
-                    f"{previous.delta_seq}); serialize appends "
-                    f"through one DeltaAppender"
-                )
-            manifest = Manifest(
-                generation=self._generation,
-                entries=previous.entries,
-                hierarchy_fingerprint=(
-                    previous.hierarchy_fingerprint
-                ),
-                num_rows=previous.num_rows,
-                deltas=previous.deltas
-                + (
-                    DeltaManifest(
-                        seq=self._seq,
-                        num_rows=self._num_rows,
-                        entries=dict(self._staged),
-                    ),
-                ),
-                delta_seq=self._seq,
-            )
-            store._commit_manifest(manifest)
-        self._closed = True
-        record(
-            "manifest.commit-delta",
-            MANIFEST_NAME,
-            generation=self._generation,
-            seq=self._seq,
-            rows=self._num_rows,
-            files=len(self._staged),
-        )
-        get_metrics().inc("delta_commits_total")
-        return manifest
-
-    def abort(self) -> None:
-        """Discard the staged files (best effort) without committing."""
-        self._check_open()
-        self._closed = True
-        for entry in self._staged.values():
-            try:
-                self._store._delete_physical(entry.physical)
-            except StorageError:
-                pass  # orphans are GC'd at the next open
-
-    def __enter__(self) -> "DeltaBuild":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        if exc_type is None:
-            if not self._closed:
-                self.commit()
-            return
-        if isinstance(exc, SimulatedCrashError):
-            self._closed = True
-            return
-        if not self._closed:
-            self.abort()
+        self.abort()
 
 
 class DurableBitmapStore(BitmapFileStore):
@@ -862,16 +735,19 @@ class DurableBitmapStore(BitmapFileStore):
         super().__init__(directory, fault_policy)
         assert self._directory is not None
         self._manifest_path = self._directory / MANIFEST_NAME
-        # Serializes manifest read-modify-write windows of the
-        # reorganizing writers (builds, delta appends, compaction,
-        # quarantine) against each other.  Readers never take it.
+        # Serializes generation reservations and commits (and the
+        # whole run of a DeltaAppender or Compactor) against each
+        # other.  Readers never take it.
         self._reorg_lock = threading.RLock()
-        self._manifest = self._recover(verify_files)
+        self._recover(verify_files)
+        self._reserved = self._manifest.generation
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(self, verify_files: bool) -> Manifest:
+    def _recover(self, verify_files: bool) -> None:
+        """Load (or initialize) the manifest, heal the quarantine
+        crash window, check the referenced files and sweep the rest."""
         assert self._directory is not None
         if not self._manifest_path.exists():
             unmanifested = [
@@ -886,12 +762,12 @@ class DurableBitmapStore(BitmapFileStore):
                     f"{MANIFEST_NAME}; refusing to serve unmanifested "
                     f"state (first: {sorted(unmanifested)[:3]})"
                 )
-            manifest = Manifest(generation=0)
-            self._write_manifest_bytes(manifest.to_bytes())
+            self._manifest = Manifest(generation=0)
+            self._write_manifest(self._manifest)
             record(
                 "manifest.init", MANIFEST_NAME, generation=0
             )
-            return manifest
+            return
         try:
             data = self._manifest_path.read_bytes()
         except OSError as err:
@@ -902,14 +778,14 @@ class DurableBitmapStore(BitmapFileStore):
         manifest = self._heal_quarantined(manifest)
         if verify_files:
             self._verify_manifest_files(manifest)
-        self._gc_orphans(manifest)
+        self._manifest = manifest
+        self._sweep()
         record(
             "manifest.open",
             MANIFEST_NAME,
             generation=manifest.generation,
             files=len(manifest.entries),
         )
-        return manifest
 
     def _heal_quarantined(self, manifest: Manifest) -> Manifest:
         """Drop entries whose physical file sits in quarantine.
@@ -932,30 +808,11 @@ class DurableBitmapStore(BitmapFileStore):
         }
         if not stranded:
             return manifest
-        healed = Manifest(
+        healed = replace(
+            manifest.without(*stranded),
             generation=manifest.generation + 1,
-            entries={
-                name: entry
-                for name, entry in manifest.entries.items()
-                if name not in stranded
-            },
-            hierarchy_fingerprint=manifest.hierarchy_fingerprint,
-            num_rows=manifest.num_rows,
-            deltas=tuple(
-                DeltaManifest(
-                    seq=delta.seq,
-                    num_rows=delta.num_rows,
-                    entries={
-                        name: entry
-                        for name, entry in delta.entries.items()
-                        if name not in stranded
-                    },
-                )
-                for delta in manifest.deltas
-            ),
-            delta_seq=manifest.delta_seq,
         )
-        self._write_manifest_bytes(healed.to_bytes())
+        self._write_manifest(healed)
         for name in sorted(stranded):
             record("manifest.heal-quarantined", name)
         return healed
@@ -982,24 +839,6 @@ class DurableBitmapStore(BitmapFileStore):
                     f"{size} bytes on disk but the manifest records "
                     f"{entry.size}; run scrub to repair or quarantine"
                 )
-
-    def _gc_orphans(self, manifest: Manifest) -> int:
-        """Remove files no manifest entry references; returns count."""
-        assert self._directory is not None
-        referenced = manifest.physical_names() | {MANIFEST_NAME}
-        removed = 0
-        for path in sorted(self._directory.iterdir()):
-            if not path.is_file() or path.name in referenced:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue  # best effort; retried at the next open
-            removed += 1
-            record("manifest.gc", path.name)
-        if removed:
-            get_metrics().inc("manifest_gc_files_total", removed)
-        return removed
 
     # ------------------------------------------------------------------
     # Manifest plumbing
@@ -1029,18 +868,36 @@ class DurableBitmapStore(BitmapFileStore):
         """The seq the next delta generation would commit as."""
         return self._manifest.delta_seq + 1
 
-    def _write_manifest_bytes(self, data: bytes) -> None:
-        """Atomically replace the MANIFEST file (no crash points)."""
+    def _reserve_generation(self) -> tuple[Manifest, int]:
+        """The committed manifest plus a generation number no build
+        of this store has used (see :class:`IndexBuild`).
+
+        Taken under the reorg lock, so a build never begins between a
+        commit and its sweep: every file a sweep removes belongs to a
+        build that began before that commit and will be refused.
+        """
+        with self._reorg_lock:
+            # Every commit stamps a reserved number, so the counter
+            # never trails the committed generation.
+            self._reserved += 1
+            return self._manifest, self._reserved
+
+    def _write_manifest(
+        self, manifest: Manifest, label_prefix: str | None = None
+    ) -> None:
+        """Atomically replace the MANIFEST file with ``manifest``.
+
+        The commit path passes ``label_prefix="commit.manifest"`` to
+        consult the ``.begin`` / ``.torn`` / ``.rename`` crash points;
+        open-time writes consult none.
+        """
         try:
             with self._lock:
-                tmp = self._manifest_path.with_name(
-                    f".{MANIFEST_NAME}.tmp"
+                self._atomic_replace(
+                    self._manifest_path,
+                    manifest.to_bytes(),
+                    label_prefix=label_prefix,
                 )
-                with open(tmp, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self._manifest_path)
                 self._fsync_directory()
         except OSError as err:
             raise self._wrap_write_error(MANIFEST_NAME, err) from err
@@ -1059,44 +916,50 @@ class DurableBitmapStore(BitmapFileStore):
             os.close(fd)
 
     def _commit_manifest(self, manifest: Manifest) -> None:
-        """The commit protocol: manifest swap, then old-generation GC.
+        """The commit protocol: manifest swap, then sweep.
 
         Crash points (consulted via the fault policy):
         ``commit.manifest.begin`` / ``commit.manifest.torn`` /
         ``commit.manifest.rename`` around the atomic manifest replace
         (the rename *is* the commit point), then ``commit.gc`` before
-        each unlink of a now-unreferenced file.
+        each unlink of a now-unreferenced file.  Called by
+        :meth:`IndexBuild.commit` under the reorg lock.
         """
-        try:
-            with self._lock:
-                self._atomic_replace(
-                    self._manifest_path,
-                    manifest.to_bytes(),
-                    label_prefix="commit.manifest",
-                )
-                self._fsync_directory()
-        except OSError as err:
-            raise self._wrap_write_error(MANIFEST_NAME, err) from err
+        self._write_manifest(manifest, label_prefix="commit.manifest")
         self._manifest = manifest
-        # Post-commit GC: anything the new manifest does not reference
-        # is dead.  A crash mid-GC is harmless — the next open re-runs
-        # the sweep against the committed manifest.
+        self._sweep(crash_point="commit.gc")
+
+    def _sweep(self, crash_point: str | None = None) -> None:
+        """Unlink every file the committed manifest does not reference.
+
+        Runs after each commit (consulting ``crash_point`` before each
+        unlink) and at open, where it finishes a sweep a crash cut
+        short and removes a dead build's staged and tmp files.  A
+        commit's sweep also removes the files of builds still staging;
+        each of those began before the commit, so its own commit will
+        be refused.  Unlinks are best effort: a failure is retried by
+        the next sweep.
+        """
         assert self._directory is not None
-        policy = self._fault_policy
-        referenced = manifest.physical_names() | {MANIFEST_NAME}
+        policy = self._fault_policy if crash_point else None
+        referenced = self._manifest.physical_names() | {MANIFEST_NAME}
+        removed = 0
         for path in sorted(self._directory.iterdir()):
             if not path.is_file() or path.name in referenced:
                 continue
             if policy is not None:
-                policy.crash_point("commit.gc")
+                policy.crash_point(crash_point)
             try:
                 path.unlink()
             except OSError:
                 continue
+            removed += 1
             record("manifest.gc", path.name)
+        if removed:
+            get_metrics().inc("manifest_gc_files_total", removed)
 
     def _write_physical(self, physical: str, payload: bytes) -> None:
-        """Atomically write a physical file (staging / repair path)."""
+        """Atomically write a physical file (:meth:`IndexBuild.add`)."""
         assert self._directory is not None
         path = self._directory / physical
         try:
@@ -1139,7 +1002,7 @@ class DurableBitmapStore(BitmapFileStore):
         num_rows: int = 0,
         replace_all: bool = True,
     ) -> IndexBuild:
-        """Start a staged build of the next generation.
+        """Start a staged build of base files.
 
         Use as a context manager::
 
@@ -1148,32 +1011,67 @@ class DurableBitmapStore(BitmapFileStore):
             # committed atomically here (aborted on exception)
 
         ``replace_all=True`` (an index rebuild) commits exactly the
-        staged file set; ``replace_all=False`` (a partial update, e.g.
-        a scrub repair) carries unstaged entries forward.
+        staged file set and supersedes the live delta generations —
+        the rebuild was computed from the full current column.
+        ``replace_all=False`` (a partial update such as a scrub repair)
+        replaces staged names and carries everything else forward
+        (:meth:`Manifest.replacing`).  An empty fingerprint or zero
+        ``num_rows`` keeps the committed value.
         """
-        return IndexBuild(
-            self,
-            hierarchy_fingerprint=hierarchy_fingerprint,
-            num_rows=num_rows,
-            replace_all=replace_all,
-        )
 
-    def begin_delta(self, num_rows: int) -> DeltaBuild:
+        def transform(
+            base: Manifest, staged: dict[str, ManifestEntry]
+        ) -> Manifest:
+            updated = (
+                replace(base, entries=staged, deltas=())
+                if replace_all
+                else base.replacing(staged)
+            )
+            return replace(
+                updated,
+                hierarchy_fingerprint=(
+                    hierarchy_fingerprint or base.hierarchy_fingerprint
+                ),
+                num_rows=num_rows or base.num_rows,
+            )
+
+        return IndexBuild(self, transform)
+
+    def begin_delta(self, num_rows: int) -> IndexBuild:
         """Start a staged delta generation for ``num_rows`` appended
         rows.
 
         Use as a context manager::
 
             with store.begin_delta(len(batch)) as delta:
-                delta.add(node_id, payload)
+                delta.add(delta_file_name(delta.seq, node_id), payload)
             # committed atomically here (aborted on exception)
 
-        Higher-level callers should prefer
+        The commit appends one :class:`DeltaManifest` of the staged
+        files as seq :attr:`IndexBuild.seq` and leaves the base and
+        older deltas untouched.  Higher-level callers should prefer
         :class:`~repro.storage.delta.DeltaAppender`, which computes
         the per-node tail bitmaps and holds the reorg lock across
         staging and commit.
         """
-        return DeltaBuild(self, num_rows=num_rows)
+        if num_rows <= 0:
+            raise ValueError(
+                f"a delta generation must append at least one row, "
+                f"got num_rows={num_rows}"
+            )
+
+        def transform(
+            base: Manifest, staged: dict[str, ManifestEntry]
+        ) -> Manifest:
+            seq = base.delta_seq + 1
+            return replace(
+                base,
+                deltas=base.deltas
+                + (DeltaManifest(seq, num_rows, staged),),
+                delta_seq=seq,
+            )
+
+        return IndexBuild(self, transform)
 
     # ------------------------------------------------------------------
     # Quarantine
@@ -1205,7 +1103,7 @@ class DurableBitmapStore(BitmapFileStore):
                 raise self._wrap_write_error(
                     entry.physical, err
                 ) from err
-            self._commit_manifest(self._manifest.without(name))
+            IndexBuild(self, lambda base, _: base.without(name)).commit()
         record("manifest.quarantine", name, physical=entry.physical)
         get_metrics().inc("scrub_quarantined_total")
         return entry.physical
@@ -1228,9 +1126,11 @@ class DurableBitmapStore(BitmapFileStore):
     def write(self, name: str, payload: bytes) -> None:
         """Write one file as a single-entry committed generation.
 
-        Stages the payload under the next generation's physical name,
-        then commits a manifest carrying every other entry forward —
-        a one-file build.  Bulk writers should prefer
+        A one-file ``begin_build(replace_all=False)``: it stages the
+        payload under a reserved generation, then commits a manifest
+        carrying every other entry forward.  Like any build it raises
+        :class:`~repro.errors.StorageError` when another commit lands
+        while it stages.  Bulk writers should prefer
         :meth:`begin_build`, which commits once for the whole set.
         """
         with self.begin_build(replace_all=False) as build:
@@ -1254,7 +1154,7 @@ class DurableBitmapStore(BitmapFileStore):
         """Remove a logical file by committing a generation without it."""
         with self._reorg_lock:
             entry = self._manifest.entry(name)
-            self._commit_manifest(self._manifest.without(name))
+            IndexBuild(self, lambda base, _: base.without(name)).commit()
         record("manifest.delete", name, physical=entry.physical)
 
     def exists(self, name: str) -> bool:

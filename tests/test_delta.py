@@ -1,4 +1,4 @@
-"""DeltaAppender / DeltaBuild: LSM-style ingest into a durable store.
+"""DeltaAppender / begin_delta: LSM-style ingest into a durable store.
 
 Covers the write path of the delta lifecycle: append batches commit as
 delta generations through the atomic manifest-swap protocol, readers
@@ -171,7 +171,8 @@ def test_append_rejects_bad_batches(tmp_path, hierarchy, values, match):
 
 def test_stale_delta_build_commit_is_rejected(tmp_path, hierarchy):
     """Two builds racing the same seq: the loser's commit raises
-    instead of silently aliasing delta file names."""
+    instead of silently aliasing delta file names, and its abort
+    leaves the winner's files alone."""
     store, _ = _build(tmp_path, hierarchy)
     first = store.begin_delta(2)
     second = store.begin_delta(3)
@@ -182,13 +183,17 @@ def test_stale_delta_build_commit_is_rejected(tmp_path, hierarchy):
     payload2 = serialize_wah(WahBitmap.from_positions([0], 2))
     payload3 = serialize_wah(WahBitmap.from_positions([1], 3))
     for node in hierarchy:
-        first.add(node.node_id, payload2)
-        second.add(node.node_id, payload3)
+        first.add(delta_file_name(first.seq, node.node_id), payload2)
+        second.add(delta_file_name(second.seq, node.node_id), payload3)
     first.commit()
     with pytest.raises(StorageError, match="serialize appends"):
         second.commit()
     second.abort()
     assert [d.seq for d in store.delta_manifests] == [1]
+    for node in hierarchy:
+        assert store.read(delta_file_name(1, node.node_id)) == payload2
+    reopened = DurableBitmapStore(tmp_path / "store")
+    assert [d.seq for d in reopened.delta_manifests] == [1]
 
 
 # ----------------------------------------------------------------------
@@ -288,3 +293,81 @@ def test_append_emits_events_and_metrics(tmp_path, hierarchy):
         )
     assert collector.counts_by_kind().get("delta.append") == 1
     assert metrics.counter("delta_rows_appended_total") == 3
+
+
+# ----------------------------------------------------------------------
+# Concurrent writers: one store.write thread, one appender thread and a
+# background compactor committing into the same store.
+# ----------------------------------------------------------------------
+@pytest.mark.stress
+@pytest.mark.ingest
+def test_concurrent_writers_leave_a_consistent_store(
+    tmp_path, hierarchy, chaos_seed
+):
+    import threading
+
+    from repro.storage.compactor import BackgroundCompactor
+    from repro.storage.scrub import Scrubber
+
+    store, column = _build(tmp_path, hierarchy, seed=chaos_seed % 1000)
+    rng = np.random.default_rng(chaos_seed)
+    batches = [
+        rng.integers(0, hierarchy.num_leaves, size=50, dtype=np.int64)
+        for _ in range(15)
+    ]
+    written: dict[str, bytes] = {}
+    refused: list[StorageError] = []
+    appended = []
+    failures: list[BaseException] = []
+
+    def writer():
+        for i in range(30):
+            name, payload = f"meta_{i}.bin", f"payload {i}".encode()
+            try:
+                store.write(name, payload)
+            except StorageError as err:
+                refused.append(err)
+                continue
+            assert store.read(name) == payload
+            written[name] = payload
+
+    def appender():
+        delta = DeltaAppender(store, hierarchy)
+        for batch in batches:
+            appended.append(delta.append(batch))
+
+    def guarded(target):
+        def run():
+            try:
+                target()
+            except Exception as err:  # surfaced below
+                failures.append(err)
+
+        return threading.Thread(target=run)
+
+    with BackgroundCompactor(
+        store, min_deltas=1, interval_seconds=0.001
+    ) as compactor:
+        threads = [guarded(writer), guarded(appender)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(written) + len(refused) == 30
+    assert [result.committed for result in appended] == [True] * 15
+    assert compactor.errors == []
+
+    reopened = DurableBitmapStore(tmp_path / "store")
+    assert Scrubber(reopened, hierarchy).verify().is_clean
+    for name, payload in written.items():
+        assert reopened.read(name) == payload
+    assert reopened.total_num_rows == column.size + 15 * 50
+    full = np.concatenate([column, *batches])
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, reopened)
+    executor = QueryExecutor(catalog, BufferPool(reopened))
+    for query in _queries(hierarchy):
+        assert executor.execute_query(query).answer == scan_answer(
+            full, query
+        )

@@ -349,6 +349,123 @@ def test_catalog_from_store_requires_every_node(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# One commit path: generation reservation and stale refusal
+# ----------------------------------------------------------------------
+def _balanced_store(tmp_path, rows=600, seed=21):
+    """A built store over the balanced 8-leaf tree."""
+    from repro.storage.delta import DeltaAppender
+
+    h = Hierarchy.balanced(8, height=4)
+    column = np.random.default_rng(seed).integers(
+        0, h.num_leaves, size=rows, dtype=np.int64
+    )
+    store = DurableBitmapStore(tmp_path / "store")
+    MaterializedNodeCatalog(h, column, store)
+    return h, store, DeltaAppender(store, h)
+
+
+def _contents(store):
+    return {name: store.read(name) for name in store.names()}
+
+
+def test_build_across_an_append_is_refused(tmp_path):
+    h, store, appender = _balanced_store(tmp_path)
+    name = node_file_name(h.root_id)
+    build = store.begin_build(replace_all=False)
+    build.add(name, store.read(name))
+    appender.append(np.array([0, 5, 7], dtype=np.int64))
+    committed = _contents(store)
+
+    with pytest.raises(StorageError, match="serialize appends"):
+        build.commit()
+    build.abort()
+
+    assert _contents(store) == committed
+    assert _contents(DurableBitmapStore(tmp_path / "store")) == committed
+
+
+def test_build_across_a_compaction_is_refused(tmp_path):
+    from repro.storage.compactor import Compactor
+
+    h, store, appender = _balanced_store(tmp_path)
+    leaf = node_file_name(h.leaf_node_id(0))
+    appender.append(np.zeros(40, dtype=np.int64))
+    base_size = store.size_bytes(leaf)
+    build = store.begin_build(replace_all=False)
+    build.add(leaf, store.read_physical(leaf))
+    Compactor(store).run()
+    # The fold rewrote the staged leaf with more rows and other bytes.
+    assert store.size_bytes(leaf) != base_size
+    committed = _contents(store)
+
+    with pytest.raises(StorageError):
+        build.commit()
+    build.abort()
+
+    assert _contents(store) == committed
+    assert _contents(DurableBitmapStore(tmp_path / "store")) == committed
+
+
+def test_two_open_builds_reserve_distinct_generations(tmp_path):
+    store = DurableBitmapStore(tmp_path)
+    store.write("a.wah", b"one")
+    first = store.begin_build(replace_all=False)
+    second = store.begin_build(replace_all=False)
+    assert 1 < first.generation < second.generation
+    first.add("b.wah", b"first")
+    second.add("b.wah", b"second")
+
+    first.commit()
+    with pytest.raises(StorageError):
+        second.commit()
+    second.abort()
+    store.write("c.wah", b"three")
+
+    assert store.generation > second.generation  # never reused
+    reopened = DurableBitmapStore(tmp_path)
+    assert reopened.read("b.wah") == b"first"
+    assert sorted(reopened.names()) == ["a.wah", "b.wah", "c.wah"]
+
+
+def test_refused_build_in_a_with_block_aborts(tmp_path):
+    store = DurableBitmapStore(tmp_path)
+    with pytest.raises(StorageError):
+        with store.begin_build(replace_all=False) as build:
+            build.add("a.wah", b"stale")
+            store.write("b.wah", b"lands first")
+    with pytest.raises(StorageError, match="already committed"):
+        build.commit()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        MANIFEST_NAME,
+        store.manifest.entry("b.wah").physical,
+    ]
+
+
+def test_one_commit_event_and_counter_per_manifest_swap(tmp_path):
+    from repro.obs import TraceCollector, collecting_metrics, recording
+    from repro.storage.compactor import Compactor
+
+    collector = TraceCollector()
+    with recording(collector), collecting_metrics() as metrics:
+        h, store, appender = _balanced_store(tmp_path)
+        appender.append(np.array([1, 2, 3], dtype=np.int64))
+        Compactor(store).run()
+        store.write("meta.bin", b"sidecar")
+        store.delete("meta.bin")
+
+    commits = collector.filter("manifest.commit")
+    assert store.generation == 5
+    assert metrics.counter("manifest_commits_total") == 5
+    assert [event.attrs["generation"] for event in commits] == [
+        1, 2, 3, 4, 5
+    ]
+    assert metrics.counter("delta_commits_total") == 1
+    (delta_commit,) = [e for e in commits if "seq" in e.attrs]
+    assert delta_commit.attrs["seq"] == 1
+    assert delta_commit.attrs["rows"] == 3
+
+
+# ----------------------------------------------------------------------
 # Plain-filestore atomic write path (satellite bugfix)
 # ----------------------------------------------------------------------
 def test_filestore_write_leaves_no_tmp_sibling(tmp_path):

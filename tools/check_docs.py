@@ -10,7 +10,10 @@ Validates, without any external dependency:
 * the generated CLI reference (``docs/cli.md``) matches what
   ``tools/gen_cli_docs.py`` renders from the live argparse parser — a
   new experiment, maintenance command, or flag that is not in the
-  committed page fails the check.
+  committed page fails the check;
+* the event and metric catalogs in ``docs/observability.md`` match
+  ``src/``: every trace event kind and metric name emitted by literal
+  has a row, and every row's name is still emitted.
 
 When ``mkdocs`` is importable (CI installs it; the offline dev image
 does not) it additionally runs the real ``mkdocs build --strict``.
@@ -32,6 +35,16 @@ DOCS = REPO / "docs"
 #: Markdown inline links/images: [text](target) — targets that are
 #: not URLs or pure in-page anchors must resolve on disk.
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Trace events are emitted as ``record("kind", …)``,
+#: ``_event("kind", …)``, ``<trace>.emit("kind", …)`` or built as
+#: ``TraceEvent(kind="kind", …)``; metrics as ``.inc("name", …)`` or
+#: ``.observe("name", …)``.
+_EVENT_RE = re.compile(
+    r'(?:\b(?:record|_event)|\.emit)\(\s*"([^"]+)"'
+    r'|\bkind\s*=\s*"(\w+\.[\w.-]+)"'
+)
+_METRIC_RE = re.compile(r'\.(?:inc|observe)\(\s*"([^"]+)"')
 
 TOP_LEVEL = [
     "README.md",
@@ -117,6 +130,61 @@ def check_cli_reference() -> list[str]:
     return []
 
 
+def _catalog_names(text: str, header: str) -> set[str]:
+    """Backticked names in the first column of the markdown table
+    whose header row starts with ``| <header> |``."""
+    names: set[str] = set()
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith(f"| {header} |"):
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            break
+        first_cell = line.split("|")[1]
+        names.update(re.findall(r"`([^`]+)`", first_cell))
+    return names
+
+
+def check_observability_catalog() -> list[str]:
+    """Diff the observability catalogs against what ``src/`` emits."""
+    events: set[str] = set()
+    metrics: set[str] = set()
+    for path in sorted((REPO / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        events.update(a or b for a, b in _EVENT_RE.findall(text))
+        metrics.update(_METRIC_RE.findall(text))
+    page = DOCS / "observability.md"
+    label = page.relative_to(REPO)
+    text = page.read_text(encoding="utf-8")
+    errors = []
+    for what, emitted, header in (
+        ("event", events, "kind"),
+        ("metric", metrics, "metric"),
+    ):
+        rows = _catalog_names(text, header)
+        if not rows:
+            errors.append(f"{label}: no `| {header} |` table")
+        errors += [
+            f"{label}: {what} {name!r} is emitted in src/ but "
+            f"has no catalog row"
+            for name in sorted(emitted - rows)
+        ]
+        errors += [
+            f"{label}: {what} row {name!r} is no longer emitted "
+            f"in src/"
+            for name in sorted(rows - emitted)
+        ]
+    if not errors:
+        print(
+            f"{label} catalogs every emitted event "
+            f"({len(events)}) and metric ({len(metrics)})"
+        )
+    return errors
+
+
 def run_mkdocs_if_available() -> list[str]:
     try:
         import mkdocs  # noqa: F401
@@ -144,6 +212,7 @@ def main() -> int:
     errors = check_relative_links(files)
     errors += check_nav()
     errors += check_cli_reference()
+    errors += check_observability_catalog()
     errors += run_mkdocs_if_available()
     if errors:
         print(f"{len(errors)} documentation error(s):")
