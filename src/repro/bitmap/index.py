@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import WorkloadError
 from ..hierarchy.tree import Hierarchy
 from ..storage.filestore import BitmapFileStore
+from .builder import node_positions
 from .serialization import serialize_wah
 from .wah import WahBitmap
 
@@ -82,27 +83,17 @@ class HierarchicalBitmapIndex:
 
         Every node bitmap is extended by the batch length; nodes whose
         leaf span misses the batch receive a pure zero-fill tail, which
-        WAH compresses to (at most) one extra word.
+        WAH compresses to (at most) one extra word.  The tails come
+        from :func:`~repro.bitmap.builder.node_positions`, which raises
+        :class:`~repro.errors.WorkloadError` on a batch that is not a
+        1-D array of integral leaf ids.
         """
         values = np.asarray(values)
-        if values.ndim != 1:
-            raise WorkloadError(
-                f"values must be a 1-D array, got shape {values.shape}"
-            )
+        tails = node_positions(self._hierarchy, values)
         if values.size == 0:
             return
-        if not np.issubdtype(values.dtype, np.integer):
-            raise WorkloadError(
-                f"values must be integral leaf ids, got {values.dtype}"
-            )
-        num_leaves = self._hierarchy.num_leaves
-        if values.min() < 0 or values.max() >= num_leaves:
-            raise WorkloadError(
-                f"values must lie in [0, {num_leaves}), got range "
-                f"[{values.min()}, {values.max()}]"
-            )
         batch = int(values.size)
-        for node_id, positions in self._node_tail_positions(values):
+        for node_id, positions in tails:
             tail = WahBitmap.from_positions(positions, batch)
             self._bitmaps[node_id] = self._bitmaps[node_id].concat(
                 tail
@@ -111,37 +102,6 @@ class HierarchicalBitmapIndex:
             WahBitmap.zeros(batch)
         )
         self._num_rows += batch
-
-    def _node_tail_positions(self, values: np.ndarray):
-        """Yield ``(node_id, batch positions)`` for every node.
-
-        One stable argsort of the batch replaces the per-node boolean
-        mask: because every node covers a contiguous leaf span
-        ``[leaf_lo, leaf_hi]``, the rows falling under a node are a
-        contiguous slice of the value-sorted order, found with two
-        binary searches — O((batch + nodes) · log batch) total instead
-        of the reference's O(nodes × batch).  The yielded positions are
-        unordered within the slice; :meth:`WahBitmap.from_positions`
-        canonicalizes, so the resulting tails are identical to the
-        reference's.
-        """
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        for node in self._hierarchy:
-            lo = np.searchsorted(
-                sorted_values, node.leaf_lo, side="left"
-            )
-            hi = np.searchsorted(
-                sorted_values, node.leaf_hi, side="right"
-            )
-            yield node.node_id, order[lo:hi]
-
-    def _node_tail_positions_reference(self, values: np.ndarray):
-        """Oracle for :meth:`_node_tail_positions`: the original
-        per-node mask scan, kept for the equivalence property test."""
-        for node in self._hierarchy:
-            mask = (values >= node.leaf_lo) & (values <= node.leaf_hi)
-            yield node.node_id, np.flatnonzero(mask)
 
     def delete_rows(self, row_ids: np.ndarray) -> None:
         """Tombstone rows by id (idempotent).

@@ -51,6 +51,7 @@ __all__ = [
     "concat_words",
     "positions_to_words",
     "words_to_positions",
+    "sorted_unique",
     "word_bit",
     "count_words",
     "popcount32",
@@ -174,8 +175,8 @@ def _union_bounds(
 
     Boundary values are bounded by the total group count, so when the
     streams are not extremely sparse relative to the logical length a
-    boolean-mask scatter beats sort-based ``np.unique``; the sparse
-    case falls back to sorting so memory stays ``O(total runs)``.
+    boolean-mask scatter beats sorting; the sparse case falls back to
+    :func:`sorted_unique` so memory stays ``O(total runs)``.
     """
     if len(ends_list) == 1:
         return ends_list[0]
@@ -185,7 +186,7 @@ def _union_bounds(
         for ends in ends_list:
             mask[ends] = True
         return np.flatnonzero(mask)
-    return np.unique(np.concatenate(ends_list))
+    return sorted_unique(np.concatenate(ends_list))
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +348,25 @@ def concat_words(head, head_bits: int, tail, tail_bits: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Positions
 # ----------------------------------------------------------------------
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as numpy's
+    ``unique`` returns them.
+
+    Strictly increasing input (what the index builder yields) is
+    returned as is after one ``O(n)`` check.  Anything else is sorted
+    and its equal neighbours dropped.  numpy 2's ``unique`` hashes
+    integer input instead, which costs several times a sort even on
+    sorted input.
+    """
+    if values.size < 2 or bool(np.all(values[1:] > values[:-1])):
+        return values
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def positions_to_words(positions, num_bits: int) -> np.ndarray:
     """Encode sorted, unique, in-range set-bit positions as words.
 

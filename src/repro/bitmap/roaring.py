@@ -24,6 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..errors import BitmapLengthMismatchError
+from .kernels import sorted_unique
 
 __all__ = ["RoaringBitmap", "CHUNK_BITS", "ARRAY_CONTAINER_LIMIT"]
 
@@ -190,11 +191,12 @@ class RoaringBitmap:
             raise ValueError(
                 f"positions out of range for {num_bits}-bit bitmap"
             )
-        positions = np.unique(positions)
+        positions = sorted_unique(positions)
         keys = positions >> 16
         offsets = (positions & 0xFFFF).astype(np.uint16)
         containers: dict[int, _Container] = {}
-        unique_keys, starts = np.unique(keys, return_index=True)
+        unique_keys = sorted_unique(keys)
+        starts = np.searchsorted(keys, unique_keys)
         boundaries = list(starts) + [positions.size]
         for i, key in enumerate(unique_keys.tolist()):
             chunk_offsets = offsets[boundaries[i]:boundaries[i + 1]]

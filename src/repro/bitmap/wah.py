@@ -102,6 +102,10 @@ class WahBitmap:
 
         This is the primary construction path for bitmap indices: the
         positions are the row ids holding a given column value.
+        Strictly increasing positions, as
+        :func:`~repro.bitmap.builder.node_positions` yields them, are
+        encoded as they are; any others are sorted and deduplicated
+        first (:func:`~repro.bitmap.kernels.sorted_unique`).
         """
         cls._check_length(num_bits)
         positions = np.asarray(positions, dtype=np.int64)
@@ -112,7 +116,9 @@ class WahBitmap:
                 f"positions out of range for {num_bits}-bit bitmap"
             )
         return cls(
-            kernels.positions_to_words(np.unique(positions), num_bits),
+            kernels.positions_to_words(
+                kernels.sorted_unique(positions), num_bits
+            ),
             num_bits,
         )
 

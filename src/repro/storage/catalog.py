@@ -26,7 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..bitmap.builder import build_span_bitmap
+from ..bitmap.builder import node_positions
 from ..bitmap.serialization import deserialize_wah, serialize_wah
 from ..bitmap.wah import WahBitmap
 from ..errors import StorageError
@@ -289,9 +289,12 @@ class ModeledNodeCatalog(NodeCatalog):
 class MaterializedNodeCatalog(NodeCatalog):
     """Catalog backed by real WAH bitmaps in a file store.
 
-    Builds one bitmap per hierarchy node from a column of leaf ids,
-    serializes each to ``node_<id>.wah`` in the given store, and reports
-    **measured** file sizes as both read cost and memory footprint.
+    Builds one bitmap per hierarchy node from a column of leaf ids
+    (:func:`~repro.bitmap.builder.node_positions`), serializes each to
+    ``node_<id>.wah`` in the given store, and reports **measured** file
+    sizes as both read cost and memory footprint.  A column that is not
+    a 1-D array of integral leaf ids in ``[0, num_leaves)`` raises
+    :class:`~repro.errors.WorkloadError` before anything is written.
     """
 
     def __init__(
@@ -301,19 +304,18 @@ class MaterializedNodeCatalog(NodeCatalog):
         store: BitmapFileStore | None = None,
     ):
         column = np.asarray(column)
+        groups = node_positions(hierarchy, column)
         self._store = store if store is not None else BitmapFileStore()
         densities = np.empty(hierarchy.num_nodes, dtype=float)
         sizes = np.empty(hierarchy.num_nodes, dtype=float)
         num_rows = int(column.size)
         with self._begin_write(hierarchy, num_rows) as write_file:
-            for node in hierarchy:
-                bitmap = build_span_bitmap(
-                    column, node.leaf_lo, node.leaf_hi
-                )
+            for node_id, positions in groups:
+                bitmap = WahBitmap.from_positions(positions, num_rows)
                 payload = serialize_wah(bitmap)
-                write_file(node_file_name(node.node_id), payload)
-                densities[node.node_id] = bitmap.density()
-                sizes[node.node_id] = len(payload) / MB
+                write_file(node_file_name(node_id), payload)
+                densities[node_id] = bitmap.density()
+                sizes[node_id] = len(payload) / MB
         super().__init__(
             hierarchy,
             densities=densities,

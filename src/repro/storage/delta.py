@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bitmap.builder import node_positions
 from ..bitmap.serialization import serialize_wah
 from ..bitmap.wah import WahBitmap
-from ..errors import StorageError, WorkloadError
+from ..errors import StorageError
 from ..hierarchy.tree import Hierarchy
 from ..obs import get_metrics, record
 from .manifest import DurableBitmapStore, delta_file_name
@@ -118,13 +119,14 @@ class DeltaAppender:
         a pure zero fill), so merge-on-read can extend any node
         positionally without consulting which nodes the batch touched.
         An empty batch commits nothing and returns a result with
-        ``committed == False``.
+        ``committed == False``.  The tails come from
+        :func:`~repro.bitmap.builder.node_positions`, which raises
+        :class:`~repro.errors.WorkloadError`, before anything is
+        staged, on a batch that is not a 1-D array of integral leaf
+        ids.
         """
         values = np.asarray(values)
-        if values.ndim != 1:
-            raise WorkloadError(
-                f"values must be a 1-D array, got shape {values.shape}"
-            )
+        tails = node_positions(self._hierarchy, values)
         if values.size == 0:
             return DeltaAppendResult(
                 seq=0,
@@ -133,16 +135,6 @@ class DeltaAppender:
                 files_written=0,
                 bytes_written=0,
             )
-        if not np.issubdtype(values.dtype, np.integer):
-            raise WorkloadError(
-                f"values must be integral leaf ids, got {values.dtype}"
-            )
-        num_leaves = self._hierarchy.num_leaves
-        if values.min() < 0 or values.max() >= num_leaves:
-            raise WorkloadError(
-                f"values must lie in [0, {num_leaves}), got range "
-                f"[{values.min()}, {values.max()}]"
-            )
         batch = int(values.size)
         bytes_written = 0
         store = self._store
@@ -150,9 +142,7 @@ class DeltaAppender:
             with store.begin_delta(batch) as delta:
                 seq = delta.seq
                 generation = delta.generation
-                for node_id, positions in self._tail_positions(
-                    values
-                ):
+                for node_id, positions in tails:
                     payload = serialize_wah(
                         WahBitmap.from_positions(positions, batch)
                     )
@@ -175,22 +165,3 @@ class DeltaAppender:
             files_written=files_written,
             bytes_written=bytes_written,
         )
-
-    def _tail_positions(self, values: np.ndarray):
-        """Yield ``(node_id, batch positions)`` for every node.
-
-        One stable argsort plus two binary searches per node (every
-        node covers a contiguous leaf span), the same
-        O((batch + nodes) · log batch) sweep as
-        ``HierarchicalBitmapIndex._node_tail_positions``.
-        """
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        for node in self._hierarchy:
-            lo = np.searchsorted(
-                sorted_values, node.leaf_lo, side="left"
-            )
-            hi = np.searchsorted(
-                sorted_values, node.leaf_hi, side="right"
-            )
-            yield node.node_id, order[lo:hi]

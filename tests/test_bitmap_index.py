@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap.builder import node_positions
 from repro.bitmap.index import HierarchicalBitmapIndex
 from repro.bitmap.wah import WORD_PAYLOAD_BITS, WahBitmap
 from repro.errors import WorkloadError
 from repro.hierarchy.tree import Hierarchy
 from repro.storage.filestore import BitmapFileStore
 
+from .builder_reference import mask_positions
 from .wah_reference import ReferenceWah
 
 #: Side lengths up to 2,000 bits; lengths around the 31-bit group seam
@@ -186,8 +188,9 @@ class TestHierarchicalBitmapIndex:
 
 
 class TestAppendVectorization:
-    """The vectorized append hot loop must be indistinguishable from
-    the per-node mask loop it replaced (kept as the oracle)."""
+    """Appends build their tails through the index builder, which must
+    be indistinguishable from the per-node mask loop it replaced (kept
+    as the oracle in ``tests/builder_reference.py``)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -198,24 +201,17 @@ class TestAppendVectorization:
     )
     def test_tail_positions_match_the_reference(self, values):
         hierarchy = Hierarchy.from_nested([[2, 2], [3, 2], [3]])
-        index = HierarchicalBitmapIndex(hierarchy)
         batch = np.asarray(values, dtype=np.int64)
-        fast = {
-            node_id: np.sort(positions).tolist()
-            for node_id, positions in index._node_tail_positions(
-                batch
-            )
+        built = {
+            node_id: positions.tolist()
+            for node_id, positions in node_positions(hierarchy, batch)
         }
         reference = {
             node_id: positions.tolist()
-            for node_id, positions in (
-                index._node_tail_positions_reference(batch)
-            )
+            for node_id, positions in mask_positions(hierarchy, batch)
         }
-        # The vectorized path may emit a node's positions unordered
-        # (from_positions canonicalizes); as *sets of rows per node*
-        # the two must be identical, node for node.
-        assert fast == reference
+        # Node for node, the same rows in the same (sorted) order.
+        assert built == reference
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -240,9 +236,7 @@ class TestAppendVectorization:
             if batch.size == 0:
                 continue
             # Drive the oracle index through the reference loop.
-            for node_id, positions in (
-                oracle._node_tail_positions_reference(batch)
-            ):
+            for node_id, positions in mask_positions(hierarchy, batch):
                 tail = WahBitmap.from_positions(
                     positions, batch.size
                 )

@@ -27,6 +27,8 @@ from repro.storage.manifest import (
 )
 from repro.workload.query import RangeQuery
 
+from .builder_reference import reference_payloads
+
 
 @pytest.fixture
 def hierarchy() -> Hierarchy:
@@ -167,6 +169,21 @@ def test_append_rejects_bad_batches(tmp_path, hierarchy, values, match):
     with pytest.raises(WorkloadError, match=match):
         appender.append(values)
     assert store.delta_manifests == ()
+
+
+@pytest.mark.parametrize("rows", [1, 31, 257])
+def test_tail_payloads_equal_the_reference_encoding(
+    tmp_path, hierarchy, rows
+):
+    """Each delta file holds the bytes the per-word oracle encodes
+    from the mask scan of the batch alone."""
+    store, _ = _build(tmp_path, hierarchy)
+    batch = np.random.default_rng(rows).integers(
+        0, hierarchy.num_leaves, size=rows
+    )
+    seq = DeltaAppender(store, hierarchy).append(batch).seq
+    for node_id, payload in reference_payloads(hierarchy, batch).items():
+        assert store.read(delta_file_name(seq, node_id)) == payload
 
 
 def test_stale_delta_build_commit_is_rejected(tmp_path, hierarchy):

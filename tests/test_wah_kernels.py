@@ -16,7 +16,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import kernels
@@ -336,3 +336,51 @@ class TestKernelPrimitives:
         ).astype(np.int64)
         expected = [int(v).bit_count() for v in values]
         assert kernels.popcount32(values).tolist() == expected
+
+
+class TestSortedUnique:
+    """The hash-free ``np.unique`` every bitmap constructor uses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-8, max_value=8),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            ),
+            max_size=300,
+        )
+    )
+    @example([])
+    @example([7])
+    @example([1, 2, 3])
+    @example([1, 1, 2])
+    @example([3, 1, 3, 2, 1])
+    def test_equals_np_unique(self, values):
+        array = np.asarray(values, dtype=np.int64)
+        result = kernels.sorted_unique(array)
+        expected = np.unique(array)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+
+    def test_strictly_increasing_input_is_returned_as_is(self):
+        values = np.arange(0, 3_000, 3, dtype=np.int64)
+        assert kernels.sorted_unique(values) is values
+
+    def test_sparse_union_is_bit_identical(self):
+        """Few runs over many groups take the sort-based branch of
+        the segment-boundary union."""
+        num_bits = 10_000_003
+        rng = np.random.default_rng(8)
+        bitmaps = [
+            WahBitmap.from_positions(
+                rng.choice(num_bits, size=5, replace=False), num_bits
+            )
+            for _ in range(4)
+        ]
+        reference = ReferenceWah.union_all(
+            ReferenceWah.of(bitmap) for bitmap in bitmaps
+        )
+        assert WahBitmap.union_all(bitmaps).words == reference.words
+        pair = ReferenceWah.of(bitmaps[0]) | ReferenceWah.of(bitmaps[1])
+        assert (bitmaps[0] | bitmaps[1]).words == pair.words
