@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bitmap.builder import build_leaf_bitmaps
+from repro.bitmap.builder import node_positions
 from repro.bitmap.serialization import deserialize_wah, serialize_wah
 from repro.bitmap.wah import WahBitmap
 from repro.core.constrained import k_cut_selection
 from repro.core.multi import select_cut_multi
 from repro.core.single import hybrid_cut
 from repro.experiments.common import catalog_for
+from repro.hierarchy import paper_hierarchy
 from repro.workload.generator import fraction_workload
 from repro.workload.query import RangeQuery
 
@@ -62,11 +63,15 @@ def test_wah_serialization_roundtrip(benchmark, sparse_pair):
     benchmark(lambda: deserialize_wah(serialize_wah(a)))
 
 
-def test_leaf_bitmap_index_build(benchmark):
+def test_node_bitmap_index_build(benchmark):
+    hierarchy = paper_hierarchy(100)
     rng = np.random.default_rng(2)
     column = rng.integers(0, 100, size=200_000).astype(np.int64)
     benchmark.pedantic(
-        lambda: build_leaf_bitmaps(column, 100),
+        lambda: [
+            WahBitmap.from_positions(positions, column.size)
+            for _node_id, positions in node_positions(hierarchy, column)
+        ],
         rounds=3,
         iterations=1,
     )

@@ -37,7 +37,6 @@ Quickstart::
 from .bitmap import (
     PlainBitmap,
     WahBitmap,
-    build_leaf_bitmaps,
     build_span_bitmap,
     deserialize_wah,
     serialize_wah,
@@ -168,7 +167,6 @@ __all__ = [
     # bitmaps
     "WahBitmap",
     "PlainBitmap",
-    "build_leaf_bitmaps",
     "build_span_bitmap",
     "serialize_wah",
     "deserialize_wah",

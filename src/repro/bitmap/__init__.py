@@ -3,7 +3,6 @@ construction from data columns, and the on-disk serialization format."""
 
 from .builder import (
     bitmap_for_leaf_set,
-    build_leaf_bitmaps,
     build_span_bitmap,
 )
 from .index import HierarchicalBitmapIndex
@@ -48,7 +47,6 @@ __all__ = [
     "serialize_bitmap",
     "deserialize_bitmap",
     "verify_frame",
-    "build_leaf_bitmaps",
     "build_span_bitmap",
     "bitmap_for_leaf_set",
     "HierarchicalBitmapIndex",

@@ -23,7 +23,7 @@ from .wah import WahBitmap
 
 __all__ = [
     "node_positions",
-    "build_leaf_bitmaps",
+    "checked_column",
     "build_span_bitmap",
     "bitmap_for_leaf_set",
 ]
@@ -54,12 +54,16 @@ def node_positions(
         WorkloadError: on a column that fails that check.
     """
     return _level_groups(
-        hierarchy, _checked_column(column, hierarchy.num_leaves)
+        hierarchy, checked_column(column, hierarchy.num_leaves)
     )
 
 
-def _checked_column(column, num_leaves: int) -> np.ndarray:
-    """``column`` as an array of leaf ids, or :class:`WorkloadError`."""
+def checked_column(column, num_leaves: int) -> np.ndarray:
+    """``column`` as an array of leaf ids, or :class:`WorkloadError`.
+
+    The check :func:`node_positions` makes; a caller that splits a
+    column before building (one build per shard) checks it whole.
+    """
     column = np.asarray(column)
     if column.ndim != 1:
         raise WorkloadError(
@@ -100,45 +104,6 @@ def _level_groups(hierarchy: Hierarchy, column: np.ndarray):
         bounds = np.searchsorted(keys[order], np.arange(sentinel + 1))
         for index, node in enumerate(nodes):
             yield node.node_id, order[bounds[index]:bounds[index + 1]]
-
-
-def build_leaf_bitmaps(
-    column: np.ndarray, num_leaves: int
-) -> list[WahBitmap]:
-    """Build one WAH bitmap per leaf value from a column of leaf ids.
-
-    Rows are grouped by value with a single stable sort, so the total cost
-    is ``O(n log n)`` regardless of the number of distinct leaves.
-
-    Args:
-        column: integer array of leaf ids in ``[0, num_leaves)``.
-        num_leaves: domain size; leaves absent from the column get
-            all-zero bitmaps.
-
-    Returns:
-        ``bitmaps`` where ``bitmaps[v]`` marks the rows with value ``v``.
-    """
-    column = np.asarray(column)
-    if column.ndim != 1:
-        raise ValueError(f"column must be 1-D, got shape {column.shape}")
-    if not np.issubdtype(column.dtype, np.integer):
-        raise ValueError(f"column must be integral, got {column.dtype}")
-    num_rows = int(column.size)
-    if num_rows and (column.min() < 0 or column.max() >= num_leaves):
-        raise ValueError(
-            f"column values must lie in [0, {num_leaves}), got range "
-            f"[{column.min()}, {column.max()}]"
-        )
-    order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    boundaries = np.searchsorted(
-        sorted_values, np.arange(num_leaves + 1)
-    )
-    bitmaps = []
-    for leaf in range(num_leaves):
-        rows = order[boundaries[leaf]:boundaries[leaf + 1]]
-        bitmaps.append(WahBitmap.from_positions(np.sort(rows), num_rows))
-    return bitmaps
 
 
 def build_span_bitmap(

@@ -255,9 +255,8 @@ class WahBitmap:
     def concat(self, other: "WahBitmap") -> "WahBitmap":
         """Append ``other``'s bits after this bitmap's logical length.
 
-        Supports appending new rows to an existing bitmap index, folding
-        delta generations onto a base, and joining shard answers.  The
-        word arrays are joined run by run, shifting ``other`` across the
+        :meth:`concat_all` folds it over row segments: delta
+        generations onto a base, and shard answers.  The word arrays are joined run by run, shifting ``other`` across the
         seam when this length is not a multiple of the 31-bit group size
         (:func:`repro.bitmap.kernels.concat_words`), so the cost is
         proportional to the runs of both operands.
@@ -304,6 +303,26 @@ class WahBitmap:
             ),
             first_bits,
         )
+
+    @staticmethod
+    def concat_all(bitmaps: Iterable["WahBitmap"]) -> "WahBitmap":
+        """Concatenate row segments in order: the one fold that joins
+        a base with its delta generations, and shard answers.
+
+        Bitwise algebra commutes with row concatenation, so a query
+        answered once per segment and concatenated here is
+        word-identical to the query answered over the joined rows.
+        One :meth:`concat` per seam; raises ``ValueError`` on no
+        bitmaps.
+        """
+        pending = iter(bitmaps)
+        try:
+            result = next(pending)
+        except StopIteration:
+            raise ValueError("concat_all needs at least one bitmap") from None
+        for bitmap in pending:
+            result = result.concat(bitmap)
+        return result
 
     # ------------------------------------------------------------------
     # Dunder plumbing

@@ -17,17 +17,19 @@ recovery surfaces as a :class:`DegradedRead` on the
 :class:`ExecutionResult`.  Only a leaf with no readable copy is fatal
 (:class:`~repro.errors.UnrecoverableReadError`).
 
-Reads are also *merge-on-read* over a mutable store: when the backing
-store is a :class:`~repro.storage.manifest.DurableBitmapStore` with
-live delta generations (appended row batches committed by
-:class:`~repro.storage.delta.DeltaAppender`), a node's effective
-bitmap is ``base.concat(delta_1).concat(delta_2)...`` in seq order —
-canonically equal to ``OR(base ∪ offset-extended deltas)`` and
-bit-identical to a from-scratch rebuild over the full column.  Delta
-fetches go through the same pool, so their bytes land in the same
-accountant and per-query attribution as base reads; each merge is
-surfaced as a ``delta.merge`` trace event, and delta files appear as
-``delta-merge`` rows in EXPLAIN ANALYZE.
+A query reads one *row segment* at a time.  Over a plain store the
+catalog's rows are one segment.  Over a
+:class:`~repro.storage.manifest.DurableBitmapStore`, one manifest
+snapshot per query lists the segments: the base generation, then each
+live delta generation (a row batch committed by
+:class:`~repro.storage.delta.DeltaAppender`) in seq order.  The plan
+runs once per segment, and :meth:`WahBitmap.concat_all` joins the
+segment answers.  OR and ANDNOT commute with row concatenation, so the
+words are identical to the answer of a from-scratch rebuild over the
+full column.  Delta fetches go through the same pool, so their bytes
+land in the same per-query attribution as base reads; a query that
+read deltas emits one ``delta.merge`` trace event, and delta files
+appear as ``delta-merge`` rows in EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ..storage.cache import BufferPool
 from ..storage.catalog import MaterializedNodeCatalog, node_file_name
 from ..storage.costmodel import MB
 from ..storage.faults import RetryPolicy
-from ..storage.manifest import DeltaManifest, delta_file_name
+from ..storage.manifest import delta_file_name
 from ..workload.query import RangeQuery, Workload
 from .costs import StrategyLabel
 from .explain import ExplainReport, build_explain_report
@@ -76,6 +78,29 @@ __all__ = [
 
 #: Decode attempts per node before falling back to degradation.
 DEFAULT_DECODE_RETRY = RetryPolicy(max_attempts=3)
+
+#: Manifest snapshots one query tries before a stale snapshot is an
+#: error (each retry follows a fold that committed mid-query).
+SNAPSHOT_ATTEMPTS = 3
+
+
+@dataclass(frozen=True, slots=True)
+class _Segment:
+    """One row segment of a manifest snapshot: a file-name scheme and
+    the rows its files cover.  ``seq`` is the delta generation, or
+    ``None`` for the base (``node_<id>.wah``)."""
+
+    seq: int | None
+    num_rows: int
+
+    def file_name(self, node_id: int) -> str:
+        if self.seq is None:
+            return node_file_name(node_id)
+        return delta_file_name(self.seq, node_id)
+
+
+class _StaleSnapshot(Exception):
+    """A store base disagrees with the query's manifest snapshot."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,43 +203,36 @@ class QueryExecutor:
         """The buffer pool (and its IO accountant)."""
         return self._pool
 
-    def _manifest_snapshot(self):
-        """The backing store's manifest, when it is a durable store
-        with a built base — the executor's merge-on-read view.
+    def _snapshot(self) -> tuple[_Segment, ...]:
+        """The row segments of one manifest snapshot, in row order.
 
-        One snapshot is taken per node read, so one merge always pairs
-        a base with exactly the delta set committed alongside it.
-        Returns ``None`` for plain (non-durable) stores.
+        A durable store with a built base gives its base, then each
+        live delta generation in seq order; any other store is one
+        base segment of the catalog's rows.
         """
         manifest = getattr(self._catalog.store, "manifest", None)
         if manifest is None or manifest.num_rows <= 0:
-            return None
-        return manifest
-
-    def _num_rows(self) -> int:
-        """Rows the current answers must cover: the durable store's
-        base + delta total when one backs the catalog, else the
-        catalog's build-time row count."""
-        manifest = self._manifest_snapshot()
-        if manifest is not None:
-            return manifest.total_rows
-        return self._catalog.num_rows
+            return (_Segment(None, self._catalog.num_rows),)
+        return (_Segment(None, manifest.num_rows),) + tuple(
+            _Segment(delta.seq, delta.num_rows)
+            for delta in manifest.deltas
+        )
 
     def _read_bitmap_file(
         self,
         name: str,
         node_id: int,
-        events: list[DegradedRead] | None,
-        delta: DeltaManifest | None = None,
-    ) -> tuple[WahBitmap, bool]:
+        segment: _Segment,
+        events: list[DegradedRead],
+        fresh: bool = False,
+    ) -> WahBitmap:
         """Read and decode one bitmap file, retrying as needed.
 
-        Attempt 1 goes through the pool's cache; later attempts force
-        a fresh fetch (a cached copy that failed its checksum is stale
-        by definition).  If every attempt fails and ``events`` is
-        given, :meth:`_recover` supplies the bitmap instead (from
-        ``delta``'s files when the file is a delta tail); the returned
-        flag says whether that recovery path ran.
+        Attempt 1 goes through the pool's cache, unless ``fresh``;
+        later attempts force a fresh fetch (a cached copy that failed
+        its checksum is stale by definition).  If every attempt fails,
+        :meth:`_recover` supplies the bitmap from the same segment's
+        children.
         """
         metrics = get_metrics()
         last_error: Exception | None = None
@@ -223,9 +241,9 @@ class QueryExecutor:
             attempts += 1
             try:
                 payload = (
-                    self._pool.get(name)
-                    if attempt == 0
-                    else self._pool.reload(name)
+                    self._pool.reload(name)
+                    if attempt or fresh
+                    else self._pool.get(name)
                 )
             except StorageError as err:
                 # The pool already retried transients; anything that
@@ -245,8 +263,8 @@ class QueryExecutor:
                         len(payload),
                         codec=codec_name(payload_codec(payload)),
                     )
-                    return bitmap, False
-                return deserialize_wah(payload), False
+                    return bitmap
+                return deserialize_wah(payload)
             except BitmapDecodeError as err:
                 last_error = err
                 self._pool.record_discard(name, len(payload))
@@ -259,168 +277,68 @@ class QueryExecutor:
                 )
                 metrics.inc("decode_discards_total")
         assert last_error is not None
-        if events is None or not self._allow_degraded:
+        if not self._allow_degraded:
             raise last_error
-        recovered = self._recover(
-            node_id, name, attempts, last_error, events, delta
+        return self._recover(
+            node_id, name, segment, attempts, last_error, events
         )
-        return recovered, True
 
-    def _note_degraded(
+    def _segment_bitmap(
         self,
         node_id: int,
-        name: str,
-        attempts: int,
-        last_error: Exception,
+        segment: _Segment,
         events: list[DegradedRead],
-        children,
-    ) -> None:
-        events.append(
-            DegradedRead(
-                node_id=node_id,
-                file_name=name,
-                attempts=attempts,
-                error=f"{type(last_error).__name__}: {last_error}",
-                recovered_from=tuple(children),
+    ) -> WahBitmap:
+        """A node's bitmap in one row segment, checked against the
+        segment's row count.
+
+        A base whose width disagrees is a copy cached before a fold
+        replaced the file (delta payloads are immutable, so only a base
+        goes stale): it is reloaded in place, once, keeping its pin.
+        If the reloaded base still disagrees, the snapshot is what is
+        stale, and :class:`_StaleSnapshot` restarts the query.
+        """
+        name = segment.file_name(node_id)
+        bitmap = self._read_bitmap_file(name, node_id, segment, events)
+        if bitmap.num_bits == segment.num_rows:
+            return bitmap
+        if segment.seq is not None:
+            raise StorageError(
+                f"{name!r} decodes to {bitmap.num_bits} bits but "
+                f"delta generation {segment.seq} appended "
+                f"{segment.num_rows} rows"
             )
-        )
         record(
-            "executor.degraded",
+            "executor.stale-base",
             name,
             node_id=node_id,
-            attempts=attempts,
-            recovered_from=tuple(children),
+            cached_bits=bitmap.num_bits,
+            manifest_rows=segment.num_rows,
         )
-        get_metrics().inc("degraded_reads_total")
-
-    def _bitmap(
-        self,
-        node_id: int,
-        events: list[DegradedRead] | None = None,
-    ) -> WahBitmap:
-        """A node's *effective* bitmap: base merged with live deltas.
-
-        Over a plain store this is one read (with the retry/degrade
-        ladder).  Over a durable store with live delta generations,
-        the base payload is concatenated with each delta generation's
-        tail for this node, in seq order — canonical WAH concatenation
-        makes the result word-identical to a from-scratch rebuild over
-        the full column.  Every delta fetch goes through the same pool
-        and lands in the same per-query attribution as the base read.
-
-        A cached base whose bit length disagrees with the manifest
-        (the only possible cache staleness: a compaction replaced the
-        base under a long-lived pool; delta payloads are immutable) is
-        dropped — along with its whole node group — and re-read
-        against a fresh manifest snapshot.
-        """
-        name = node_file_name(node_id)
-        manifest = self._manifest_snapshot()
-        if manifest is None:
-            bitmap, _ = self._read_bitmap_file(name, node_id, events)
-            return bitmap
-        for attempt in range(3):
-            base, recovered = self._read_bitmap_file(
-                name, node_id, events
-            )
-            if recovered:
-                # The children unioned by the recovery were themselves
-                # merged (base + deltas); appending deltas again here
-                # would double-count the appended rows.
-                return base
-            if base.num_bits != manifest.num_rows:
-                if attempt == 2:
-                    raise StorageError(
-                        f"{name!r} decodes to {base.num_bits} bits "
-                        f"but the manifest records "
-                        f"{manifest.num_rows} base rows; store and "
-                        f"cache cannot be reconciled"
-                    )
-                record(
-                    "executor.stale-base",
-                    name,
-                    node_id=node_id,
-                    cached_bits=base.num_bits,
-                    manifest_rows=manifest.num_rows,
-                )
-                get_metrics().inc("stale_base_invalidations_total")
-                self._pool.invalidate(name)
-                refreshed = self._manifest_snapshot()
-                assert refreshed is not None
-                manifest = refreshed
-                continue
-            if not manifest.deltas:
-                return base
-            try:
-                merged = base
-                for delta in manifest.deltas:
-                    merged = merged.concat(
-                        self._delta_bitmap(delta, node_id, events)
-                    )
-            except (FileMissingError, UnrecoverableReadError) as err:
-                # A compaction can fold this snapshot's deltas and GC
-                # their files between our snapshot and the delta
-                # reads.  If that is what happened (some snapshot
-                # delta is no longer live), re-merge against a fresh
-                # snapshot; a delta that is still referenced really
-                # is damaged, so the error stands.
-                refreshed = self._manifest_snapshot()
-                assert refreshed is not None
-                live = {d.seq for d in refreshed.deltas}
-                folded = any(
-                    d.seq not in live for d in manifest.deltas
-                )
-                if attempt == 2 or not folded:
-                    raise
-                record(
-                    "executor.folded-delta-retry",
-                    name,
-                    node_id=node_id,
-                    error=type(err).__name__,
-                )
-                get_metrics().inc("folded_delta_retries_total")
-                # The fold also replaced the base this merge paired
-                # with those deltas; drop the cached copy too.
-                self._pool.invalidate(name)
-                manifest = refreshed
-                continue
-            if merged.num_bits != manifest.total_rows:
-                raise StorageError(
-                    f"merge-on-read of node {node_id} produced "
-                    f"{merged.num_bits} bits, manifest records "
-                    f"{manifest.total_rows} total rows"
-                )
-            record(
-                "delta.merge",
-                name,
-                node_id=node_id,
-                deltas=len(manifest.deltas),
-                seqs=[delta.seq for delta in manifest.deltas],
-                num_bits=merged.num_bits,
-            )
-            get_metrics().inc("delta_merges_total")
-            return merged
-        raise StorageError(  # pragma: no cover - loop always resolves
-            f"merge-on-read of node {node_id} did not converge"
+        get_metrics().inc("stale_base_invalidations_total")
+        bitmap = self._read_bitmap_file(
+            name, node_id, segment, events, fresh=True
         )
+        if bitmap.num_bits != segment.num_rows:
+            raise _StaleSnapshot(
+                f"{name!r} decodes to {bitmap.num_bits} bits but the "
+                f"snapshot records {segment.num_rows} base rows"
+            )
+        return bitmap
 
     def _recover(
         self,
         node_id: int,
         name: str,
+        segment: _Segment,
         attempts: int,
         last_error: Exception,
         events: list[DegradedRead],
-        delta: DeltaManifest | None,
     ) -> WahBitmap:
         """Recover an unreadable node file as the union of its
-        children's bitmaps (B_n == OR of children's).
-
-        A base file unions the children's *effective* (merged)
-        bitmaps, so the recovery covers the full row range, deltas
-        included.  A delta tail unions the *same generation's* child
-        tails: the identity holds over the batch's rows alone.  A leaf
-        has no children to recover from, so its loss is fatal.
+        children's bitmaps in the same segment (B_n == OR of
+        children's, over any set of rows).  A leaf has no children to
+        recover from, so its loss is fatal.
         """
         node = self._catalog.hierarchy.node(node_id)
         if node.is_leaf:
@@ -431,48 +349,128 @@ class QueryExecutor:
                 f"attempts and has no descendants to recover from "
                 f"({last_error})",
             ) from last_error
-        if delta is None:
-            parts = [
-                self._bitmap(child, events) for child in node.children
-            ]
-            num_bits = self._num_rows()
-        else:
-            parts = [
-                self._delta_bitmap(delta, child, events)
+        recovered = WahBitmap.union_all(
+            [
+                self._segment_bitmap(child, segment, events)
                 for child in node.children
-            ]
-            num_bits = delta.num_rows
-        recovered = WahBitmap.union_all(parts, num_bits=num_bits)
-        self._note_degraded(
-            node_id, name, attempts, last_error, events, node.children
+            ],
+            num_bits=segment.num_rows,
         )
+        events.append(
+            DegradedRead(
+                node_id=node_id,
+                file_name=name,
+                attempts=attempts,
+                error=f"{type(last_error).__name__}: {last_error}",
+                recovered_from=tuple(node.children),
+            )
+        )
+        record(
+            "executor.degraded",
+            name,
+            node_id=node_id,
+            attempts=attempts,
+            recovered_from=tuple(node.children),
+        )
+        get_metrics().inc("degraded_reads_total")
         return recovered
 
-    def _delta_bitmap(
+    def _evaluate(
         self,
-        delta: DeltaManifest,
-        node_id: int,
-        events: list[DegradedRead] | None,
+        plan: QueryPlan,
+        segment: _Segment,
+        events: list[DegradedRead],
     ) -> WahBitmap:
-        """One delta generation's tail bitmap for a node, with the
-        same retry/degrade ladder as base reads."""
-        name = delta_file_name(delta.seq, node_id)
-        bitmap, _ = self._read_bitmap_file(name, node_id, events, delta)
-        if bitmap.num_bits != delta.num_rows:
-            raise StorageError(
-                f"{name!r} decodes to {bitmap.num_bits} bits but "
-                f"delta generation {delta.seq} appended "
-                f"{delta.num_rows} rows"
-            )
-        return bitmap
+        """A plan's answer over one row segment."""
+        hierarchy = self._catalog.hierarchy
 
-    def _leaf_bitmap(
-        self,
-        leaf_value: int,
-        events: list[DegradedRead] | None = None,
-    ) -> WahBitmap:
-        node_id = self._catalog.hierarchy.leaf_node_id(leaf_value)
-        return self._bitmap(node_id, events)
+        def leaves(values) -> WahBitmap:
+            return WahBitmap.union_all(
+                (
+                    self._segment_bitmap(
+                        hierarchy.leaf_node_id(value), segment, events
+                    )
+                    for value in values
+                ),
+                num_bits=segment.num_rows,
+            )
+
+        terms: list[WahBitmap] = []
+        for atom in plan.atoms:
+            if segment.seq is None:
+                # Once per atom: the base segment is in every snapshot.
+                record(
+                    "executor.atom",
+                    atom.label.value,
+                    node_id=atom.node_id,
+                    leaves=len(atom.leaf_values),
+                )
+            if atom.label is StrategyLabel.COMPLETE:
+                assert atom.node_id is not None
+                term = self._segment_bitmap(atom.node_id, segment, events)
+            elif atom.label is StrategyLabel.INCLUSIVE:
+                term = leaves(atom.leaf_values)
+            else:  # EXCLUSIVE
+                assert atom.node_id is not None
+                term = self._segment_bitmap(
+                    atom.node_id, segment, events
+                ).andnot(leaves(atom.leaf_values))
+            terms.append(term)
+        # One k-way union over all atoms (vectorized kernel path)
+        # instead of a left-to-right OR fold over a growing answer.
+        return WahBitmap.union_all(terms, num_bits=segment.num_rows)
+
+    def _answer(
+        self, plan: QueryPlan
+    ) -> tuple[WahBitmap, list[DegradedRead]]:
+        """Run a plan once per row segment of one manifest snapshot
+        and concatenate the segment answers in row order.
+
+        A snapshot goes stale when a fold commits mid-query: a base
+        still disagrees with it after a reload, or a file it names is
+        gone while the current manifest lists other segments (the fold
+        retired that delta generation, or swept the base file being
+        read).  The query then restarts against a fresh snapshot, at
+        most :data:`SNAPSHOT_ATTEMPTS` times in all.
+        """
+        attempt = 1
+        while True:
+            segments = self._snapshot()
+            events: list[DegradedRead] = []
+            try:
+                answer = WahBitmap.concat_all(
+                    self._evaluate(plan, segment, events)
+                    for segment in segments
+                )
+            except (FileMissingError, UnrecoverableReadError) as err:
+                if self._snapshot() == segments:
+                    raise  # the store did not move: the file is lost
+                stale: Exception = err
+            except _StaleSnapshot as err:
+                stale = err
+            else:
+                if len(segments) > 1:
+                    record(
+                        "delta.merge",
+                        plan.query.label or repr(plan.query),
+                        seqs=[segment.seq for segment in segments[1:]],
+                        num_bits=answer.num_bits,
+                    )
+                    get_metrics().inc("delta_merges_total")
+                return answer, events
+            if attempt == SNAPSHOT_ATTEMPTS:
+                raise StorageError(
+                    f"manifest snapshot went stale on each of "
+                    f"{SNAPSHOT_ATTEMPTS} attempts: {stale}"
+                ) from stale
+            record(
+                "executor.snapshot-retry",
+                plan.query.label or repr(plan.query),
+                attempt=attempt,
+                error=type(stale).__name__,
+            )
+            get_metrics().inc("snapshot_retries_total")
+            attempt += 1
 
     def pin_cut(self, node_ids) -> None:
         """Load a cut's bitmaps once and keep them resident (Case 2/3)."""
@@ -495,48 +493,13 @@ class QueryExecutor:
 
             verify_plan(plan, self._catalog.hierarchy)
         local = IOAccountant()
-        num_bits = self._num_rows()
-        events: list[DegradedRead] = []
-        terms: list[WahBitmap] = []
         with span(
             "executor.plan",
             query=plan.query.label or repr(plan.query),
             atoms=len(plan.atoms),
         ) as sp, self._pool.attributing(local):
-            for atom in plan.atoms:
-                record(
-                    "executor.atom",
-                    atom.label.value,
-                    node_id=atom.node_id,
-                    leaves=len(atom.leaf_values),
-                )
-                if atom.label is StrategyLabel.COMPLETE:
-                    assert atom.node_id is not None
-                    term = self._bitmap(atom.node_id, events)
-                elif atom.label is StrategyLabel.INCLUSIVE:
-                    term = WahBitmap.union_all(
-                        (
-                            self._leaf_bitmap(value, events)
-                            for value in atom.leaf_values
-                        ),
-                        num_bits=num_bits,
-                    )
-                else:  # EXCLUSIVE
-                    assert atom.node_id is not None
-                    node_bitmap = self._bitmap(atom.node_id, events)
-                    removal = WahBitmap.union_all(
-                        (
-                            self._leaf_bitmap(value, events)
-                            for value in atom.leaf_values
-                        ),
-                        num_bits=num_bits,
-                    )
-                    term = node_bitmap.andnot(removal)
-                terms.append(term)
-            # One k-way union over all atoms (vectorized kernel path)
-            # instead of a left-to-right OR fold over a growing answer.
-            answer = WahBitmap.union_all(terms, num_bits=num_bits)
-            get_metrics().observe("union_width", len(terms))
+            answer, events = self._answer(plan)
+            get_metrics().observe("union_width", len(plan.atoms))
             sp.annotate(
                 io_bytes=local.bytes_read,
                 degraded=len(events),
@@ -561,7 +524,8 @@ class QueryExecutor:
 
         Args:
             plan: the query plan to execute.
-            measure: per-row measure column (length = num rows).
+            measure: per-row measure column, one value per row the
+                answer covers.
             agg: ``count``, ``sum``, ``avg``, ``min``, or ``max``.
 
         Returns:
@@ -570,14 +534,14 @@ class QueryExecutor:
             for avg/min/max.
         """
         measure = np.asarray(measure)
-        expected_rows = self._num_rows()
+        result = self.execute_plan(plan)
+        expected_rows = result.answer.num_bits
         if measure.shape != (expected_rows,):
             raise ValueError(
                 f"measure must have one value per row "
                 f"({expected_rows}), got shape "
                 f"{measure.shape}"
             )
-        result = self.execute_plan(plan)
         positions = result.answer.to_positions()
         if agg == "count":
             return float(positions.size), result

@@ -42,6 +42,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ..bitmap.builder import checked_column
+from ..bitmap.wah import WahBitmap
 from ..errors import QueryFailedError, ShardError, ShardFailedError
 from ..hierarchy.serialization import (
     hierarchy_from_dict,
@@ -616,12 +618,15 @@ class ShardedExecutor:
         ``durable=True`` is passed through); workers later *reopen*
         those stores via
         :meth:`~repro.storage.catalog.MaterializedNodeCatalog.from_store`.
+        The whole column is checked before any shard is written, so a
+        bad value raises :class:`~repro.errors.WorkloadError` with
+        every shard directory still empty.
         """
         from ..storage.catalog import MaterializedNodeCatalog
         from ..storage.filestore import BitmapFileStore
         from ..storage.manifest import DurableBitmapStore
 
-        column = np.asarray(column)
+        column = checked_column(column, hierarchy.num_leaves)
         durable = bool(kwargs.get("durable", False))
         store_cls = (
             DurableBitmapStore if durable else BitmapFileStore
@@ -1026,9 +1031,10 @@ class ShardedExecutor:
     ) -> tuple[QueryOutcome, ...]:
         """Merge per-shard outcomes into full-column outcomes.
 
-        Answers concatenate by row offset: the shard answers fold with
-        :meth:`~repro.bitmap.wah.WahBitmap.concat` in ``row_lo`` order,
-        whose canonical words are identical to a single-shard answer's.
+        Answers concatenate by row offset: the shard answers are row
+        segments, joined by :meth:`~repro.bitmap.wah.WahBitmap.
+        concat_all` in ``row_lo`` order, whose canonical words are
+        identical to a single-shard answer's.
         A failure on any shard makes the merged outcome a
         :class:`~repro.errors.QueryFailedError` carrying the shard id
         (IO and events of all shards, failed included, stay merged).
@@ -1067,12 +1073,11 @@ class ShardedExecutor:
                     )
                 )
                 continue
-            answer = parts[0].result.answer
-            for part in parts[1:]:
-                answer = answer.concat(part.result.answer)
             result = ExecutionResult(
                 query=query,
-                answer=answer,
+                answer=WahBitmap.concat_all(
+                    part.result.answer for part in parts
+                ),
                 io_bytes=sum(
                     part.result.io_bytes for part in parts
                 ),

@@ -530,9 +530,11 @@ class BufferPool:
     def reload(self, name: str) -> bytes:
         """Force a fresh fetch from storage, replacing any cached copy.
 
-        A previously pinned file stays pinned (with the new payload);
-        an LRU-resident file is re-admitted under the normal policy.
-        The fetch is charged to the accountant like any storage read.
+        A previously pinned file stays pinned with the new payload
+        when that fits the budget (a compaction's folded base is
+        larger than the copy it replaces); otherwise, and for an
+        unpinned file, it is admitted under the normal policy.  The
+        fetch is charged to the accountant like any storage read.
         Deliberately *not* single-flight deduplicated: a reload exists
         to replace a payload that just failed validation, so it must
         not be satisfied by an in-flight read that may be the same
@@ -541,7 +543,10 @@ class BufferPool:
         was_pinned = self.invalidate(name)
         payload = self._fetch(name)
         with self._lock:
-            if was_pinned:
+            if was_pinned and (
+                self._budget is None
+                or self._pinned_bytes + len(payload) <= self._budget
+            ):
                 self._pinned[name] = payload
                 self._pinned_bytes += len(payload)
                 self._shrink_lru_to_spare()

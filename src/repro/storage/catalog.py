@@ -314,7 +314,9 @@ class MaterializedNodeCatalog(NodeCatalog):
                 bitmap = WahBitmap.from_positions(positions, num_rows)
                 payload = serialize_wah(bitmap)
                 write_file(node_file_name(node_id), payload)
-                densities[node_id] = bitmap.density()
+                densities[node_id] = (
+                    positions.size / num_rows if num_rows else 0.0
+                )
                 sizes[node_id] = len(payload) / MB
         super().__init__(
             hierarchy,

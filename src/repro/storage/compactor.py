@@ -3,9 +3,10 @@
 Merge-on-read keeps ingest cheap, but every live delta generation adds
 one read per node per query.  The :class:`Compactor` bounds that read
 amplification: it folds the oldest ``max_deltas_per_run`` delta
-generations into a new base generation — per node,
-``base.concat(delta_1).concat(delta_2)...`` in seq order, the same
-canonical WAH concatenation merge-on-read performs — and stages and
+generations into a new base generation — per node, the base and its
+delta tails joined in seq order by
+:meth:`~repro.bitmap.wah.WahBitmap.concat_all`, the same fold that
+joins a query's row-segment answers — and stages and
 commits the result as one :class:`~repro.storage.manifest.IndexBuild`
 with a fold transform.  The rename of the MANIFEST is the commit
 point; the post-commit sweep then reclaims the superseded base files
@@ -30,6 +31,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from ..bitmap.serialization import deserialize_wah, serialize_wah
+from ..bitmap.wah import WahBitmap
 from ..errors import StorageError
 from ..obs import get_metrics, record
 from .accounting import IOAccountant
@@ -174,7 +176,7 @@ class Compactor:
                         continue
                     base_payload = self._verified_payload(name, entry)
                     bytes_read += len(base_payload)
-                    merged = deserialize_wah(base_payload)
+                    parts = [deserialize_wah(base_payload)]
                     for delta in fold:
                         dname = delta_file_name(delta.seq, node_id)
                         dentry = delta.entries.get(dname)
@@ -188,9 +190,8 @@ class Compactor:
                             dname, dentry
                         )
                         bytes_read += len(dpayload)
-                        merged = merged.concat(
-                            deserialize_wah(dpayload)
-                        )
+                        parts.append(deserialize_wah(dpayload))
+                    merged = WahBitmap.concat_all(parts)
                     if merged.num_bits != expected_bits:
                         raise StorageError(
                             f"compaction of {name!r} produced "

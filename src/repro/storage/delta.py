@@ -9,10 +9,10 @@ atomically as one :class:`~repro.storage.manifest.IndexBuild`, the
 same tmp + fsync + manifest-swap protocol as a full build
 (:meth:`~repro.storage.manifest.DurableBitmapStore.begin_delta`).
 
-Readers merge on read — a node's effective bitmap is
-``base.concat(delta_1).concat(delta_2)...`` in seq order, which for
-append-only rows is exactly ``OR(base ∪ offset-extended deltas)`` and
-bit-identical (canonical WAH words) to a from-scratch rebuild over the
+Readers merge on read: a query runs its plan once per row segment
+(the base, then each delta generation in seq order) and concatenates
+the segment answers, which for append-only rows is bit-identical
+(canonical WAH words) to the answer over a from-scratch rebuild of the
 full column.  :class:`~repro.storage.compactor.Compactor` folds deltas
 back into a new base generation when read amplification grows.
 """

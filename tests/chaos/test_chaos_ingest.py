@@ -252,11 +252,11 @@ class TestBatchServingWithDeltas:
 
 
 class TestQueriesRacingTheCompactor:
-    """Merge-on-read vs a live background fold.  A query can cache a
-    manifest snapshot, lose the delta files underneath it to the
-    fold's GC, and must recover via the folded-delta retry — never a
-    wrong answer.  (Spurious degraded *events* from abandoned attempts
-    are fine; answers are not allowed to degrade.)"""
+    """Merge-on-read vs a live background fold.  A query's manifest
+    snapshot can lose its delta files to the fold's GC, and the query
+    must restart against a fresh snapshot — never a wrong answer.
+    (Spurious degraded *events* from abandoned attempts are fine;
+    answers are not allowed to degrade.)"""
 
     @pytest.mark.parametrize("rate", FAULT_RATES)
     def test_answers_stay_correct_through_the_fold(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.bitmap.builder import (
     bitmap_for_leaf_set,
-    build_leaf_bitmaps,
     build_span_bitmap,
     node_positions,
 )
@@ -36,47 +35,25 @@ HIERARCHIES = (
 )
 
 
+#: Ten leaves, for the ``column`` fixture's values.
+TEN_LEAVES = Hierarchy.from_nested([5, 5])
+
+
 @pytest.fixture
 def column() -> np.ndarray:
     rng = np.random.default_rng(42)
     return rng.integers(0, 10, size=5000).astype(np.int64)
 
 
-class TestLeafBitmaps:
-    def test_partition_property(self, column):
-        """Leaf bitmaps partition the rows: disjoint and covering."""
-        bitmaps = build_leaf_bitmaps(column, 10)
-        total = sum(bitmap.count() for bitmap in bitmaps)
-        assert total == column.size
-        union = WahBitmap.union_all(bitmaps)
-        assert union.count() == column.size
-
-    def test_each_leaf_marks_its_rows(self, column):
-        bitmaps = build_leaf_bitmaps(column, 10)
-        for leaf in range(10):
-            expected = np.flatnonzero(column == leaf).tolist()
-            assert bitmaps[leaf].to_positions().tolist() == expected
-
-    def test_absent_leaf_gets_empty_bitmap(self):
-        column = np.array([0, 0, 2], dtype=np.int64)
-        bitmaps = build_leaf_bitmaps(column, 4)
-        assert bitmaps[1].count() == 0
-        assert bitmaps[3].count() == 0
-
-    def test_empty_column(self):
-        bitmaps = build_leaf_bitmaps(np.array([], dtype=np.int64), 3)
-        assert len(bitmaps) == 3
-        assert all(bitmap.num_bits == 0 for bitmap in bitmaps)
-
-    def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(ValueError):
-            build_leaf_bitmaps(np.zeros((2, 2), dtype=np.int64), 4)
-        with pytest.raises(ValueError):
-            build_leaf_bitmaps(np.array([0.5]), 4)
-        with pytest.raises(ValueError):
-            build_leaf_bitmaps(np.array([4], dtype=np.int64), 4)
-        with pytest.raises(ValueError):
-            build_leaf_bitmaps(np.array([-1], dtype=np.int64), 4)
+def _leaf_bitmaps(column) -> list[WahBitmap]:
+    """One bitmap per leaf of :data:`TEN_LEAVES`, in leaf order."""
+    positions = dict(node_positions(TEN_LEAVES, column))
+    return [
+        WahBitmap.from_positions(
+            positions[TEN_LEAVES.leaf_node_id(leaf)], column.size
+        )
+        for leaf in range(TEN_LEAVES.num_leaves)
+    ]
 
 
 class TestSpanBitmap:
@@ -88,7 +65,7 @@ class TestSpanBitmap:
         assert bitmap.to_positions().tolist() == expected
 
     def test_span_equals_union_of_leaves(self, column):
-        leaf_bitmaps = build_leaf_bitmaps(column, 10)
+        leaf_bitmaps = _leaf_bitmaps(column)
         span = build_span_bitmap(column, 3, 7)
         union = bitmap_for_leaf_set(leaf_bitmaps, range(3, 8))
         assert span == union
@@ -109,7 +86,7 @@ class TestLeafSetUnion:
             bitmap_for_leaf_set([], [0])
 
     def test_empty_leaf_selection(self, column):
-        bitmaps = build_leaf_bitmaps(column, 10)
+        bitmaps = _leaf_bitmaps(column)
         union = bitmap_for_leaf_set(bitmaps, [])
         assert union.count() == 0
         assert union.num_bits == column.size
@@ -182,6 +159,16 @@ class TestBadColumns:
         with pytest.raises(WorkloadError):
             build(paper_hierarchy(100), BAD_COLUMNS[name], tmp_path)
 
+    def test_sharded_build_writes_no_shard(self, tmp_path):
+        """The whole column is checked before the first shard is
+        written: a bad value in the last shard leaves every shard
+        directory empty."""
+        column = np.zeros(200, dtype=np.int64)
+        column[150] = 100
+        with pytest.raises(WorkloadError):
+            ShardedExecutor.build(paper_hierarchy(100), column, 2, tmp_path)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     @pytest.mark.parametrize(
         "column", [np.array([], dtype=np.int64), np.array([])]
     )
@@ -205,8 +192,11 @@ class TestCatalogPayloads:
             0, hierarchy.num_leaves, size=rows
         )
         store = BitmapFileStore()
-        MaterializedNodeCatalog(hierarchy, column, store)
+        catalog = MaterializedNodeCatalog(hierarchy, column, store)
         for node_id, payload in reference_payloads(
             hierarchy, column
         ).items():
             assert store.read(node_file_name(node_id)) == payload, node_id
+            assert catalog.density(node_id) == catalog.bitmap(
+                node_id
+            ).density()

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.executor import QueryExecutor
 from repro.errors import StorageError
-from repro.hierarchy.tree import Hierarchy
+from repro.hierarchy.tree import Hierarchy, paper_hierarchy
 from repro.storage.accounting import IOAccountant
 from repro.storage.cache import BufferPool
-from repro.storage.catalog import MaterializedNodeCatalog
+from repro.storage.catalog import MaterializedNodeCatalog, node_file_name
 from repro.storage.compactor import BackgroundCompactor, Compactor
 from repro.storage.delta import DeltaAppender
 from repro.storage.filestore import BitmapFileStore
@@ -127,10 +127,53 @@ def test_queries_identical_across_the_fold(tmp_path, hierarchy):
 
     Compactor(store).run()
 
-    # Same executor, same pool: the stale-base guard must notice the
-    # cached pre-fold bases and re-read the folded generation.
+    # Same executor, same pool: each cached pre-fold base disagrees
+    # with the fresh snapshot and is reloaded in place.
     after = [executor.execute_query(q).answer for q in queries]
     assert all(a == b for a, b in zip(after, before))
+
+
+def test_fold_keeps_a_budgeted_cut_pinned(tmp_path):
+    """A cut member made stale by a fold is reloaded in place and stays
+    pinned.  It used to be unpinned, and a budgeted pool with no spare
+    LRU then streamed it on every later query while plans still
+    counted it as cached."""
+    hierarchy = paper_hierarchy(20)
+    rng = np.random.default_rng(3)
+    store = DurableBitmapStore(tmp_path / "store")
+    MaterializedNodeCatalog(
+        hierarchy, rng.integers(0, 20, size=5_000), store
+    )
+    cut = hierarchy.node(hierarchy.root_id).children
+    budget = 3 * sum(
+        store.size_bytes(node_file_name(node_id)) for node_id in cut
+    )
+
+    def pinned_executor():
+        catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+        executor = QueryExecutor(
+            catalog, BufferPool(store, budget_bytes=budget)
+        )
+        executor.pin_cut(cut)
+        return executor
+
+    # One query under each cut member.
+    queries = [RangeQuery([(0, 7)]), RangeQuery([(9, 18)])]
+    executor = pinned_executor()
+    DeltaAppender(store, hierarchy).append(rng.integers(0, 20, size=300))
+    for query in queries:
+        executor.execute_query(query, cut, node_is_cached=True)
+    Compactor(store).run()
+    for query in queries:
+        executor.execute_query(query, cut, node_is_cached=True)
+
+    fresh = pinned_executor()
+    assert executor.pool.pinned_bytes == fresh.pool.pinned_bytes
+    for query in queries:
+        expected = fresh.execute_query(query, cut, node_is_cached=True)
+        result = executor.execute_query(query, cut, node_is_cached=True)
+        assert result.io_bytes == expected.io_bytes
+        assert result.answer == expected.answer
 
 
 def test_non_node_entries_are_carried_forward(tmp_path, hierarchy):

@@ -8,16 +8,19 @@ manifest round-trips deltas losslessly.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.executor import QueryExecutor, scan_answer
 from repro.errors import StorageError, WorkloadError
-from repro.hierarchy.tree import Hierarchy
+from repro.hierarchy.tree import Hierarchy, paper_hierarchy
 from repro.obs import TraceCollector, collecting_metrics, recording
 from repro.storage.cache import BufferPool
-from repro.storage.catalog import MaterializedNodeCatalog
+from repro.storage.catalog import MaterializedNodeCatalog, node_file_name
 from repro.storage.delta import DeltaAppender
+from repro.storage.faults import FaultPolicy
 from repro.storage.filestore import BitmapFileStore
 from repro.storage.manifest import (
     DurableBitmapStore,
@@ -289,16 +292,130 @@ def test_merge_on_read_matches_full_rebuild(tmp_path, hierarchy):
 
 def test_merge_on_read_emits_delta_merge_trace(tmp_path, hierarchy):
     store, _ = _build(tmp_path, hierarchy)
-    DeltaAppender(store, hierarchy).append(
-        np.array([0, 1, 2], dtype=np.int64)
-    )
+    appender = DeltaAppender(store, hierarchy)
+    for batch in ([0, 1, 2], [7]):
+        appender.append(np.array(batch, dtype=np.int64))
     catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
     executor = QueryExecutor(catalog, BufferPool(store))
     collector = TraceCollector()
     with recording(collector), collecting_metrics() as metrics:
         executor.execute_query(RangeQuery([(0, 2)]))
-    assert collector.counts_by_kind().get("delta.merge", 0) >= 1
-    assert metrics.counter("delta_merges_total") >= 1
+    # One event per query that read deltas, not one per node read.
+    [merge] = collector.filter("delta.merge")
+    assert merge.attrs["seqs"] == [1, 2]
+    assert merge.attrs["num_bits"] == store.total_num_rows
+    assert metrics.counter("delta_merges_total") == 1
+
+
+def test_lost_base_recovers_within_its_segment(tmp_path, hierarchy):
+    """A lost base file is the union of its children's base files, and
+    the node's own delta files are still read, each in its own
+    segment; the children's delta files are not."""
+    store, column = _build(tmp_path, hierarchy)
+    appender = DeltaAppender(store, hierarchy)
+    rng = np.random.default_rng(13)
+    for size in (17, 40):
+        batch = rng.integers(
+            0, hierarchy.num_leaves, size=size, dtype=np.int64
+        )
+        appender.append(batch)
+        column = np.concatenate([column, batch])
+    victim = hierarchy.node(
+        hierarchy.internal_children(hierarchy.root_id)[0]
+    )
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+    executor = QueryExecutor(catalog, BufferPool(store))
+    # The injector sees physical (generation-prefixed) names.
+    physical = store.manifest.entry(node_file_name(victim.node_id)).physical
+    store.set_fault_policy(
+        FaultPolicy(seed=0, sticky_corrupt_names={physical})
+    )
+    query = RangeQuery([(victim.leaf_lo, victim.leaf_hi)])
+
+    result = executor.execute_query(query, [victim.node_id])
+
+    assert result.answer == scan_answer(column, query)
+    [degraded] = result.degraded_reads
+    assert degraded.node_id == victim.node_id
+    assert degraded.recovered_from == tuple(victim.children)
+    io = executor.pool.accountant.snapshot()
+    assert set(io.reads_by_name) == {
+        node_file_name(victim.node_id),
+        *(node_file_name(child) for child in victim.children),
+        delta_file_name(1, victim.node_id),
+        delta_file_name(2, victim.node_id),
+    }
+    assert result.io_bytes == io.bytes_read
+
+
+# ----------------------------------------------------------------------
+# Queries racing commits: one manifest snapshot per query
+# ----------------------------------------------------------------------
+def _run_before_get(pool, at, action):
+    """Run ``action`` once, just before the pool's ``at``-th get: a
+    commit that lands between two node reads of one query."""
+    original = pool.get
+    calls = itertools.count(1)
+
+    def get(name):
+        if next(calls) == at:
+            action()
+        return original(name)
+
+    pool.get = get
+
+
+def _racing_setup(tmp_path, batches=()):
+    hierarchy = paper_hierarchy(20)
+    store, column = _build(tmp_path, hierarchy, rows=5_000)
+    appender = DeltaAppender(store, hierarchy)
+    rng = np.random.default_rng(5)
+    for size in batches:
+        batch = rng.integers(0, 20, size=size, dtype=np.int64)
+        appender.append(batch)
+        column = np.concatenate([column, batch])
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+    pool = BufferPool(store)
+    return store, appender, column, QueryExecutor(catalog, pool)
+
+
+def test_append_between_node_reads_answers_one_snapshot(tmp_path):
+    """The query answers the rows of the snapshot it started from; it
+    used to mix 5,000- and 5,037-bit operands and raise
+    BitmapLengthMismatchError."""
+    store, appender, column, executor = _racing_setup(tmp_path)
+    batch = np.random.default_rng(6).integers(0, 20, size=37)
+    _run_before_get(executor.pool, 2, lambda: appender.append(batch))
+    query = RangeQuery([(0, 7)])
+
+    assert executor.execute_query(query).answer == scan_answer(
+        column, query
+    )
+    assert store.total_num_rows == 5_037
+    assert executor.execute_query(query).answer == scan_answer(
+        np.concatenate([column, batch]), query
+    )
+
+
+def test_fold_mid_query_restarts_against_a_fresh_snapshot(tmp_path):
+    """A fold that commits at the query's third read makes its
+    snapshot stale: the query restarts once and answers the folded
+    store."""
+    from repro.storage.compactor import Compactor
+
+    store, _appender, column, executor = _racing_setup(
+        tmp_path, batches=(37, 41)
+    )
+    _run_before_get(executor.pool, 3, Compactor(store).run)
+    query = RangeQuery([(0, 7)])
+    collector = TraceCollector()
+    with recording(collector), collecting_metrics() as metrics:
+        answer = executor.execute_query(query).answer
+
+    assert store.delta_manifests == ()
+    assert answer == scan_answer(column, query)
+    assert collector.counts_by_kind().get("executor.snapshot-retry") == 1
+    assert metrics.counter("snapshot_retries_total") == 1
 
 
 def test_append_emits_events_and_metrics(tmp_path, hierarchy):
@@ -388,3 +505,88 @@ def test_concurrent_writers_leave_a_consistent_store(
         assert executor.execute_query(query).answer == scan_answer(
             full, query
         )
+
+
+@pytest.mark.stress
+@pytest.mark.ingest
+def test_queries_racing_appends_and_folds_answer_committed_rows(
+    tmp_path, chaos_seed
+):
+    """One thread appends 20 batches of 37 rows while a background
+    compactor folds them; another thread queries through one executor
+    and pool.  Every answer is the scan of the column cut at some
+    batch boundary, and every byte the pool read is charged to some
+    query."""
+    import threading
+
+    from repro.storage.compactor import BackgroundCompactor
+
+    hierarchy = paper_hierarchy(20)
+    store, column = _build(
+        tmp_path, hierarchy, rows=5_000, seed=chaos_seed % 1000
+    )
+    rng = np.random.default_rng(chaos_seed)
+    batches = [
+        rng.integers(0, 20, size=37, dtype=np.int64) for _ in range(20)
+    ]
+    full = np.concatenate([column, *batches])
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+    pool = BufferPool(store)
+    executor = QueryExecutor(catalog, pool)
+    cut = hierarchy.node(hierarchy.root_id).children
+    executor.pin_cut(cut)
+    before = pool.accountant.snapshot()
+    queries = [RangeQuery([(0, 7)]), RangeQuery([(3, 18)])]
+    appended = threading.Event()
+    results = []
+    failures: list[BaseException] = []
+
+    def append():
+        try:
+            appender = DeltaAppender(store, hierarchy)
+            for batch in batches:
+                appender.append(batch)
+        finally:
+            appended.set()
+
+    def query():
+        # Until a whole round has run over the final store.
+        done = False
+        while not done:
+            done = appended.is_set()
+            for index, q in enumerate(queries):
+                pinned = index % 2 == 0
+                results.append(
+                    executor.execute_query(
+                        q, cut if pinned else (), node_is_cached=pinned
+                    )
+                )
+
+    def guarded(target):
+        def run():
+            try:
+                target()
+            except Exception as err:  # surfaced below
+                failures.append(err)
+
+        return threading.Thread(target=run)
+
+    with BackgroundCompactor(
+        store, min_deltas=2, interval_seconds=0.001
+    ) as compactor:
+        threads = [guarded(append), guarded(query)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert compactor.errors == []
+    assert store.total_num_rows == full.size
+    for result in results:
+        rows = result.answer.num_bits
+        assert (rows - column.size) % 37 == 0, rows
+        assert result.answer == scan_answer(full[:rows], result.query)
+    assert pool.accountant.diff_since(before).bytes_read == sum(
+        result.io_bytes for result in results
+    )

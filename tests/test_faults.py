@@ -240,6 +240,17 @@ class TestPoolRetry:
         assert pool.contains("f")
         assert pool.pinned_bytes == len(b"version-two!")
 
+    def test_reload_repins_only_within_budget(self):
+        store = BitmapFileStore()
+        store.write("f", b"x" * 10)
+        pool = BufferPool(store, budget_bytes=12)
+        pool.pin(["f"])
+        store.write("f", b"y" * 20)
+        assert pool.reload("f") == b"y" * 20
+        # Too large to stay pinned: streamed, budget intact.
+        assert not pool.contains("f")
+        assert pool.resident_bytes <= pool.budget_bytes
+
     def test_invalidate_unpinned_then_get_refetches(self):
         store = BitmapFileStore()
         store.write("f", b"abc")
