@@ -45,7 +45,7 @@ test-gateway:
 	$(PY) -m pytest -m gateway -q
 
 # Self-healing edge suite: replica lifecycle (suspect → probation →
-# re-admission or death), hedged requests, circuit breaking, and
+# re-admission or death), sequential failover, circuit breaking, and
 # priority-aware admission — including the chaos test that kills both
 # replica fleets sequentially and asserts both are re-admitted with
 # oracle-identical answers and zero fleet drain.

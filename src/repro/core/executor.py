@@ -39,11 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitmap.serialization import (
-    codec_name,
-    deserialize_wah,
-    payload_codec,
-)
+from ..bitmap.serialization import deserialize_wah
 from ..bitmap.wah import WahBitmap
 from ..errors import (
     BitmapDecodeError,
@@ -258,11 +254,7 @@ class QueryExecutor:
                         "decode_seconds",
                         time.perf_counter() - started,
                     )
-                    metrics.inc(
-                        "decoded_bytes_total",
-                        len(payload),
-                        codec=codec_name(payload_codec(payload)),
-                    )
+                    metrics.inc("decoded_bytes_total", len(payload))
                     return bitmap
                 return deserialize_wah(payload)
             except BitmapDecodeError as err:

@@ -17,10 +17,9 @@ runs them that way, at two scales:
 * :class:`Gateway` is the asyncio network front-end over either:
   concurrent request intake (in-process async API or TCP/JSON-lines),
   bounded micro-batching, priority-aware admission control with typed
-  shedding and deadlines, SLO latency metrics, one attempt schedule
-  covering failover and hedged requests, and a self-healing replica
-  lifecycle (circuit breaking, canary re-admission — see
-  :mod:`repro.serve.lifecycle`).
+  shedding and deadlines, SLO latency metrics, sequential failover
+  across replicas, and a self-healing replica lifecycle (circuit
+  breaking, canary re-admission — see :mod:`repro.serve.lifecycle`).
 
 See ``docs/serving.md`` for the threading and sharding models and
 ``docs/gateway.md`` for the gateway.
@@ -38,7 +37,6 @@ from .gateway import (
     Gateway,
     GatewayBatchRecord,
     GatewayConfig,
-    GatewayHedgeRecord,
     Replica,
     ShardedReplica,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "Gateway",
     "GatewayBatchRecord",
     "GatewayConfig",
-    "GatewayHedgeRecord",
     "QueryOutcome",
     "Replica",
     "ReplicaState",

@@ -34,17 +34,12 @@ front-end the ROADMAP asks for:
   the gateway's whole reporting surface (with
   :meth:`Gateway.replica_states` for the fleet), so it reads the same
   with or without an ambient registry installed.
-* **One attempt schedule.**  The gateway holds N *replicas* —
+* **Sequential failover.**  The gateway holds N *replicas* —
   independent serving fleets over the same logical column — and
-  serves each micro-batch on one schedule: try replica A now, try B
-  at the hedge delay (``hedge_delay_s``, or a latency quantile) or
-  when A fails, and keep the first answer.  Failover and hedged
-  requests are two cases of that loop; every failed attempt suspects
-  its replica, and attempts still running when the batch is answered
-  are reaped onto a ledger (:attr:`Gateway.hedge_records`) so IO
-  reconciliation never double-charges a batch.  This is safe because
-  the serving path is read-only and any two healthy replicas answer
-  bit-identically.
+  serves each micro-batch on one replica at a time: try replica A,
+  and only when A fails try B, and so on.  Every failed attempt
+  suspects its replica.  This is safe because the serving path is
+  read-only and any two healthy replicas answer bit-identically.
 * **Replica lifecycle with re-admission.**  Each replica is tracked by
   the :mod:`~repro.serve.lifecycle` state machine (``ACTIVE →
   SUSPECTED → PROBATION → ACTIVE | DEAD``).  A replica is *suspected*
@@ -55,7 +50,7 @@ front-end the ROADMAP asks for:
   exponential backoff between probes.  Replicas only die for good
   when the probe budget is exhausted (or re-admission is disabled
   with ``max_probe_attempts=0``).
-* **Bounded history.**  Batch and hedge records keep the newest
+* **Bounded history.**  Batch records keep the newest
   :data:`HISTORY_LIMIT` entries; the trace keeps its first
   :data:`HISTORY_LIMIT` events and counts the rest as dropped.
 
@@ -63,14 +58,15 @@ Determinism discipline: gateway *trace events* carry no wall-clock
 data (latencies go to metrics), the supervisor's probe schedule draws
 from a seeded RNG, and answers are whatever the backend produced —
 bit-identical to the serial oracle by the serving tier's own
-contracts, which is also what makes the attempt schedule and canary
-re-admission provably safe.
+contracts, which is also what makes failover and canary re-admission
+provably safe.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 import threading
 from collections import deque
@@ -101,15 +97,14 @@ __all__ = [
     "Gateway",
     "GatewayBatchRecord",
     "GatewayConfig",
-    "GatewayHedgeRecord",
     "Replica",
     "ShardedReplica",
 ]
 
-#: Bound on a gateway's history.  Batch and hedge records keep the
-#: newest this many (each holds its backend report and every answer
-#: bitmap); the trace keeps its first this many events and counts the
-#: rest as dropped.
+#: Bound on a gateway's history.  Batch records keep the newest this
+#: many (each holds its backend report and every answer bitmap); the
+#: trace keeps its first this many events and counts the rest as
+#: dropped.
 HISTORY_LIMIT = 1024
 
 
@@ -128,26 +123,13 @@ class GatewayConfig:
         max_inflight_batches: backend batches allowed to run
             concurrently.  It sizes no thread pool: every attempt,
             health probe, canary and replica close runs on the event
-            loop's default executor, and a hedged batch runs both of
-            its attempts inside one in-flight slot.
+            loop's default executor.
         default_deadline_s: deadline applied to requests that do not
             carry their own (``None`` = no deadline).
         priority_classes: admission classes from most to least
             important; under overload the *last* class sheds first.
         default_priority: class assigned to requests that do not name
             one (must be a member of ``priority_classes``).
-        hedge_quantile: latency quantile (of the gateway's own
-            ``gateway_request_seconds`` histogram) that sets the hedge
-            delay — a batch whose first attempt is still running past
-            that delay starts a second one on the next healthy
-            replica.  ``None`` disables quantile-derived hedging.
-        hedge_delay_s: fixed hedge delay in seconds, taking precedence
-            over ``hedge_quantile`` (useful for deterministic tests
-            and known-SLO deployments).  ``None`` defers to the
-            quantile.
-        hedge_min_samples: observed request latencies required before
-            a quantile-derived hedge delay is trusted (a cold histogram
-            would hedge everything).
         breaker_window: per-replica rolling window of per-query
             outcomes feeding the circuit breaker.
         breaker_failures: failures within ``breaker_window`` that open
@@ -177,9 +159,6 @@ class GatewayConfig:
     default_deadline_s: float | None = None
     priority_classes: tuple[str, ...] = ("high", "normal", "low")
     default_priority: str = "normal"
-    hedge_quantile: float | None = None
-    hedge_delay_s: float | None = None
-    hedge_min_samples: int = 16
     breaker_window: int = 16
     breaker_failures: int = 4
     max_probe_attempts: int = 6
@@ -231,22 +210,6 @@ class GatewayConfig:
             raise ValueError(
                 f"default_priority {self.default_priority!r} is not "
                 f"one of {self.priority_classes}"
-            )
-        if self.hedge_quantile is not None and not (
-            0.0 < self.hedge_quantile <= 1.0
-        ):
-            raise ValueError(
-                f"hedge_quantile must be in (0, 1], got "
-                f"{self.hedge_quantile}"
-            )
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise ValueError(
-                f"hedge_delay_s must be > 0, got {self.hedge_delay_s}"
-            )
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got "
-                f"{self.hedge_min_samples}"
             )
         if self.breaker_window < 1:
             raise ValueError(
@@ -463,24 +426,19 @@ class GatewayBatchRecord:
     """One dispatched micro-batch, as seen by the gateway.
 
     The ``explain_analyze``-style row stream for the serving tier:
-    which replica answered, how many fleets had to be tried, whether
-    the batch was hedged, and the backend report whose accounting the
-    tests reconcile byte-exactly.
+    which replica answered, how many fleets had to be tried, and the
+    backend report whose accounting the tests reconcile byte-exactly.
 
     Attributes:
         batch_id: dense dispatch counter.
         size: requests in the batch after queued-deadline filtering.
-        replica_id: the replica that produced the answers (the hedge
-            winner, for hedged batches).
-        attempts: failed attempts before the answer plus the winning
+        replica_id: the replica that produced the answers.
+        attempts: failed attempts before the answer plus the answering
             one (1 = no failover).
         failed_replica_ids: replicas whose attempt failed before the
-            answer, in the order the gateway saw them fail.
+            answer, in the order they were tried.
         report: the backend's batch report (``BatchReport`` or
             ``ShardedBatchReport``), carrying outcomes and IO.
-        hedged: whether a hedge request was dispatched for this batch.
-        hedge_replica_id: the replica the hedge ran on (``None`` when
-            not hedged).
     """
 
     batch_id: int
@@ -489,50 +447,21 @@ class GatewayBatchRecord:
     attempts: int
     failed_replica_ids: tuple[int, ...]
     report: Any
-    hedged: bool = False
-    hedge_replica_id: int | None = None
 
     @property
     def failed_over(self) -> bool:
         """Whether this batch needed at least one failover."""
         return bool(self.failed_replica_ids)
 
-
-@dataclass(frozen=True)
-class GatewayHedgeRecord:
-    """One attempt of a hedged batch: the winner, or an attempt still
-    running when the batch was answered.
-
-    Hedge work must be counted honestly: the winner's report is the
-    one clients are billed from (it rides the
-    :class:`GatewayBatchRecord`), and a loser's report — real IO a
-    backend performed for an answer nobody used — is recorded here so
-    reconciliation can account for it byte-exactly without ever
-    double-charging the batch.
-
-    Attributes:
-        batch_id: the batch this attempt served.
-        replica_id: the replica that ran this attempt.
-        role: ``"primary"`` (the first attempt), ``"hedge"`` (started
-            by the hedge delay) or ``"failover"`` (started when an
-            attempt failed).
-        used: whether this attempt's answers were delivered.
-        error: ``type(exc).__name__`` when this attempt failed instead
-            of completing (``None`` on success).
-        report: the attempt's backend report (``None`` when it failed).
-    """
-
-    batch_id: int
-    replica_id: int
-    role: str
-    used: bool
-    error: str | None
-    report: Any
-
     @property
-    def discarded(self) -> bool:
-        """Whether this attempt's work was thrown away (a loser)."""
-        return not self.used
+    def hedged(self) -> bool:
+        """Always ``False``: the gateway no longer hedges.
+
+        Kept because the repository benchmark (``hcsbench``) reads it
+        when it checks and counts retries, and the benchmark does not
+        change in the same commit as the code it measures.
+        """
+        return False
 
 
 @dataclass
@@ -649,7 +578,7 @@ class Gateway:
     ``async with gateway:`` (or :meth:`start` / :meth:`aclose`).
     Requests enter through :meth:`submit` (in-process) or the
     TCP/JSON-lines listener from :meth:`serve_tcp`; both go through
-    the same admission control, batcher, and attempt schedule.  A
+    the same admission control, batcher, and failover loop.  A
     background supervisor task (enabled whenever
     ``config.max_probe_attempts > 0``) probes suspected replicas and
     re-admits the ones that pass a canary check.
@@ -699,9 +628,6 @@ class Gateway:
         self._batch_records: deque[GatewayBatchRecord] = deque(
             maxlen=HISTORY_LIMIT
         )
-        self._hedge_records: deque[GatewayHedgeRecord] = deque(
-            maxlen=HISTORY_LIMIT
-        )
         self._batch_counter = 0
         self._canary_ref: tuple[RangeQuery, WahBitmap] | None = None
 
@@ -737,8 +663,8 @@ class Gateway:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The gateway's deterministic trace stream (batches,
-        failovers, sheds, state transitions, probes, hedges — no
-        wall-clock data): the first :data:`HISTORY_LIMIT` events."""
+        failovers, sheds, state transitions, probes — no wall-clock
+        data): the first :data:`HISTORY_LIMIT` events."""
         with self._lock:
             return tuple(self._trace.events)
 
@@ -750,15 +676,6 @@ class Gateway:
             return tuple(self._batch_records)
 
     @property
-    def hedge_records(self) -> tuple[GatewayHedgeRecord, ...]:
-        """The hedge ledger: every hedged batch's winner and the
-        attempts reaped after its answer, in completion order (the
-        newest :data:`HISTORY_LIMIT`).  This is how tests reconcile
-        hedge IO without double-charging."""
-        with self._lock:
-            return tuple(self._hedge_records)
-
-    @property
     def queue_depth(self) -> int:
         """Requests currently waiting for a micro-batch slot."""
         return self._intake.qsize() if self._intake is not None else 0
@@ -767,7 +684,7 @@ class Gateway:
     def metrics(self) -> MetricsRegistry:
         """The gateway's own registry: every event it recorded,
         whatever ambient registry is installed (request outcomes,
-        sheds, failovers, hedges, breaker opens, re-admissions, and
+        sheds, failovers, breaker opens, re-admissions, and
         the latency, batch-size and queue-depth histograms)."""
         return self._metrics
 
@@ -870,6 +787,7 @@ class Gateway:
 
         Raises:
             ValueError: ``priority`` is not a configured class.
+            WorkloadError: ``deadline_s`` is not finite and positive.
             OverloadedError: shed at admission (queue full), either
                 refused at the door or evicted by higher-priority
                 traffic.
@@ -893,6 +811,12 @@ class Gateway:
                 f"unknown priority {priority!r}; configured classes: "
                 f"{self._config.priority_classes}"
             ) from None
+        if deadline_s is None:
+            deadline_s = self._config.default_deadline_s
+        elif not (math.isfinite(deadline_s) and deadline_s > 0):
+            raise WorkloadError(
+                f"deadline_s must be finite and > 0, got {deadline_s!r}"
+            )
         depth = self._intake.qsize()
         if depth >= self._config.max_queue_depth:
             victim = self._intake.evict_lower(priority_index)
@@ -916,8 +840,6 @@ class Gateway:
                         kind="evicted",
                     )
                 )
-        if deadline_s is None:
-            deadline_s = self._config.default_deadline_s
         now = self._loop.time()
         request = _PendingRequest(
             query=query,
@@ -1132,141 +1054,58 @@ class Gateway:
             self._next_replica += 1
         return active[start]
 
-    def _hedge_delay(self) -> float | None:
-        """The effective hedge delay in seconds, or ``None`` when
-        hedging is disabled (or too few request latencies have been
-        observed for a quantile-derived delay)."""
-        config = self._config
-        if config.hedge_delay_s is not None:
-            return config.hedge_delay_s
-        if config.hedge_quantile is None:
-            return None
-        latency = self._metrics.histogram("gateway_request_seconds")
-        if latency.count < config.hedge_min_samples:
-            return None
-        return latency.quantile(config.hedge_quantile)
-
     async def _serve_batch(self, batch: list[_PendingRequest]) -> None:
-        """Serve one micro-batch on the attempt schedule and deliver it.
+        """Serve one micro-batch, one replica at a time, and deliver it.
 
-        Failover and hedging are one loop over the running attempts:
+        Each attempt runs the whole batch on the next ``ACTIVE``
+        candidate (round-robin among those not yet tried):
 
-        * the first ``ACTIVE`` candidate starts at once;
-        * the next candidate starts when the hedge delay passes (first
-          attempt only) or when a running attempt fails;
-        * the first success wins, and the earlier launch wins a tie;
-        * every failed attempt is a failover: it is counted and traced
-          and suspects its replica, and one that fails before the
-          answer joins the batch record;
-        * attempts still running when the batch is answered are reaped
-          onto the hedge ledger.
+        * a raise is a failover: it is counted and traced, suspects its
+          replica and joins the batch record, and the next candidate
+          is tried;
+        * the first report is recorded and delivered, and its replica
+          is suspected afterwards if the report opened its breaker.
 
         When no candidate is left, every request gets
         :class:`~repro.errors.AllReplicasFailedError` listing the
-        failed attempts.  The batch keeps its in-flight slot until all
-        of its attempts have finished.
+        failed attempts in the order they were tried.
         """
         assert self._loop is not None
-        loop = self._loop
         queries = tuple(request.query for request in batch)
         self._metrics.inc("gateway_batches_total")
         self._metrics.observe("gateway_batch_size", len(batch))
         tried: list[int] = []
-        running: dict[asyncio.Future, tuple[Replica, str]] = {}
         failures: list[tuple[int, str, str]] = []
-        hedge_id: int | None = None
-        record: GatewayBatchRecord | None = None
-
-        def launch(role: str) -> Replica | None:
-            replica = self._next_candidate(tried)
-            if replica is not None:
-                tried.append(replica.replica_id)
-                future = loop.run_in_executor(
+        while (replica := self._next_candidate(tried)) is not None:
+            tried.append(replica.replica_id)
+            try:
+                report = await self._loop.run_in_executor(
                     None, replica.serve_batch, queries
                 )
-                running[future] = (replica, role)
-            return replica
-
-        launch("primary")
-        delay = self._hedge_delay()
-        while running:
-            done, _ = await asyncio.wait(
-                running, timeout=delay, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not done:  # the hedge delay passed on the first attempt
-                hedge = launch("hedge")
-                if hedge is not None:
-                    hedge_id = hedge.replica_id
-                    self._metrics.inc(
-                        "gateway_hedges_total", outcome="fired"
-                    )
-                    self._event(
-                        "gateway.hedge",
-                        f"replica-{hedge_id}",
-                        primary=tried[0],
-                        size=len(queries),
-                    )
-            delay = None
-            suspects: list[tuple[Replica, str]] = []
-            # Launch order, so the earlier launch wins a tie.
-            for future in [f for f in running if f.done()]:
-                replica, role = running.pop(future)
-                error = future.exception()
-                report = None if error is not None else future.result()
-                if error is not None:
-                    outcome = "failed"
-                    reason = type(error).__name__
-                    self._metrics.inc(
-                        "gateway_failovers_total", replica=replica.replica_id
-                    )
-                    self._event(
-                        "gateway.failover",
-                        f"replica-{replica.replica_id}",
-                        error=reason,
-                    )
-                    suspects.append((replica, reason))
-                    if record is None:
-                        failures.append(
-                            (replica.replica_id, reason, str(error))
-                        )
-                elif record is None:
-                    outcome = "won"
-                    record, tripped = self._record_batch(
-                        queries, replica, report, failures, hedge_id
-                    )
-                    self._deliver(batch, report)
-                    if tripped:
-                        suspects.append((replica, "breaker"))
-                else:
-                    outcome = "lost"
-                if role == "hedge":
-                    self._metrics.inc(
-                        "gateway_hedges_total", outcome=outcome
-                    )
-                if record is not None and hedge_id is not None:
-                    with self._lock:
-                        self._hedge_records.append(
-                            GatewayHedgeRecord(
-                                batch_id=record.batch_id,
-                                replica_id=replica.replica_id,
-                                role=role,
-                                used=outcome == "won",
-                                error=None if error is None else reason,
-                                report=report,
-                            )
-                        )
-            for replica, reason in suspects:
+            except Exception as error:
+                reason = type(error).__name__
+                self._metrics.inc(
+                    "gateway_failovers_total", replica=replica.replica_id
+                )
+                self._event(
+                    "gateway.failover",
+                    f"replica-{replica.replica_id}",
+                    error=reason,
+                )
+                failures.append((replica.replica_id, reason, str(error)))
                 await self._suspect(replica, reason)
-                if record is None:
-                    launch("failover")
-        if record is None:
-            self._deliver(
-                batch,
-                error=AllReplicasFailedError(
-                    failures
-                    or [(-1, "GatewayError", "no healthy replicas")]
-                ),
-            )
+                continue
+            tripped = self._record_batch(queries, replica, report, failures)
+            self._deliver(batch, report)
+            if tripped:
+                await self._suspect(replica, "breaker")
+            return
+        self._deliver(
+            batch,
+            error=AllReplicasFailedError(
+                failures or [(-1, "GatewayError", "no healthy replicas")]
+            ),
+        )
 
     def _record_batch(
         self,
@@ -1274,11 +1113,10 @@ class Gateway:
         replica: Replica,
         report: Any,
         failures: list[tuple[int, str, str]],
-        hedge_id: int | None,
-    ) -> tuple[GatewayBatchRecord, bool]:
+    ) -> bool:
         """Record an answered batch and fold its per-query outcomes
-        into the winner's breaker window; returns the record and
-        whether that breaker just opened."""
+        into the replica's breaker window; returns whether that
+        breaker just opened."""
         config = self._config
         with self._lock:
             record = GatewayBatchRecord(
@@ -1290,8 +1128,6 @@ class Gateway:
                     replica_id for replica_id, _, _ in failures
                 ),
                 report=report,
-                hedged=hedge_id is not None,
-                hedge_replica_id=hedge_id,
             )
             self._batch_counter += 1
             self._batch_records.append(record)
@@ -1301,7 +1137,6 @@ class Gateway:
                 size=record.size,
                 replica=record.replica_id,
                 attempts=record.attempts,
-                hedged=record.hedged,
             )
             slot = self._slots[replica.replica_id]
             for query, outcome in zip(queries, report.outcomes):
@@ -1327,7 +1162,7 @@ class Gateway:
                 )
         if tripped:
             self._metrics.inc("gateway_breaker_opens_total")
-        return record, tripped
+        return tripped
 
     # ------------------------------------------------------------------
     def _set_state_locked(
@@ -1595,8 +1430,8 @@ class Gateway:
         ``DeadlineExceededError`` reports the ``phase`` (queued vs
         inflight) and the deadline; ``AllReplicasFailedError`` lists
         every per-replica attempt; a ``WorkloadError`` (a malformed
-        range, rejected before admission) is not retryable; all carry
-        a ``retryable`` hint.
+        request line, rejected before admission) is not retryable; all
+        carry a ``retryable`` hint.
 
         ``"positions": true`` adds the matching row positions to the
         response (omitted by default — answers over wide columns are
@@ -1724,25 +1559,16 @@ class Gateway:
         """Parse, serve, and answer one JSON-lines request."""
         request_id: Any = None
         try:
-            payload = json.loads(text)
+            try:
+                payload = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise WorkloadError(f"request is not JSON: {exc}") from None
+            if not isinstance(payload, dict):
+                raise WorkloadError("request must be a JSON object")
             request_id = payload.get("id")
-            ranges = payload["ranges"]
-            query = RangeQuery(
-                [(int(lo), int(hi)) for lo, hi in ranges],
-                label=str(payload.get("label", "")),
-            )
-            deadline_s = payload.get("deadline_s")
-            priority = payload.get("priority")
+            query, deadline_s, priority = self._parse_request(payload)
             result = await self.submit(
-                query,
-                deadline_s=(
-                    float(deadline_s)
-                    if deadline_s is not None
-                    else None
-                ),
-                priority=(
-                    str(priority) if priority is not None else None
-                ),
+                query, deadline_s=deadline_s, priority=priority
             )
             response: dict[str, Any] = {
                 "id": request_id,
@@ -1758,6 +1584,48 @@ class Gateway:
         except Exception as exc:
             response = self._error_response(request_id, exc)
         await self._write_response(writer, write_lock, response)
+
+    def _parse_request(
+        self, payload: dict
+    ) -> tuple[RangeQuery, float | None, str | None]:
+        """The query, deadline and priority of one TCP request.
+
+        Raises :class:`~repro.errors.WorkloadError` unless ``ranges``
+        is a list of ``[lo, hi]`` integer pairs, ``deadline_s`` (when
+        given) is a number and ``priority`` (when given) is a
+        configured class, so a malformed request is refused before
+        admission.  :meth:`submit` checks that the deadline is finite
+        and positive.
+        """
+        ranges = payload.get("ranges")
+        if not isinstance(ranges, list) or not all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(type(bound) is int for bound in pair)
+            for pair in ranges
+        ):
+            raise WorkloadError(
+                "ranges must be a list of [lo, hi] integer pairs"
+            )
+        query = RangeQuery(
+            [tuple(pair) for pair in ranges],
+            label=str(payload.get("label", "")),
+        )
+        deadline_s = payload.get("deadline_s")
+        if deadline_s is not None and type(deadline_s) not in (int, float):
+            raise WorkloadError(
+                f"deadline_s must be a number, got {deadline_s!r}"
+            )
+        priority = payload.get("priority")
+        if (
+            priority is not None
+            and priority not in self._config.priority_classes
+        ):
+            raise WorkloadError(
+                f"unknown priority {priority!r}; configured classes: "
+                f"{self._config.priority_classes}"
+            )
+        return query, deadline_s, priority
 
     @staticmethod
     async def _write_response(

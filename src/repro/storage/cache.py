@@ -8,9 +8,8 @@ Implements the caching semantics the paper's three cases assume:
   once, kept for the whole workload); everything else is streamed, i.e.
   read from storage on every access, because "the operation nodes that
   are not in the cut cannot be cached in memory for re-use" (§2.3.4).
-
-A small LRU overflow area can optionally use whatever budget the pinned
-set leaves free — disabled by default to match the paper's accounting.
+  So a budgeted pool's measured bytes equal the Case-3 prediction
+  (Eq. 4).
 
 The pool is **thread-safe** and built for the concurrent serving layer
 (:mod:`repro.serve`):
@@ -33,7 +32,6 @@ The pool is **thread-safe** and built for the concurrent serving layer
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
@@ -100,9 +98,9 @@ class BufferPool:
         accountant: receives a record for every fetch that actually hits
             storage (cache hits are free).
         budget_bytes: total memory budget; ``None`` means unbounded
-            (the no-memory-constraint cases).
-        use_spare_budget_lru: when true, unpinned reads may occupy
-            leftover budget in an LRU area instead of being streamed.
+            (the no-memory-constraint cases, where every read is kept
+            in the LRU area).  With a budget, only pinned files stay
+            resident and every other read is streamed.
         retry_policy: how transient storage failures are retried before
             propagating; defaults to a few immediate retries
             (:data:`~repro.storage.faults.DEFAULT_RETRY_POLICY`).  Pass
@@ -114,7 +112,6 @@ class BufferPool:
         store: BitmapFileStore,
         accountant: IOAccountant | None = None,
         budget_bytes: int | None = None,
-        use_spare_budget_lru: bool = False,
         retry_policy: RetryPolicy | None = None,
     ):
         if budget_bytes is not None and budget_bytes < 0:
@@ -124,11 +121,10 @@ class BufferPool:
         self._store = store
         self._accountant = accountant or IOAccountant()
         self._budget = budget_bytes
-        self._use_spare_lru = use_spare_budget_lru
         self._retry = retry_policy or DEFAULT_RETRY_POLICY
         self._pinned: dict[str, bytes] = {}
         self._pinned_bytes = 0
-        self._lru: OrderedDict[str, bytes] = OrderedDict()
+        self._lru: dict[str, bytes] = {}
         self._lru_bytes = 0
         # Reentrant: clear() drops both tiers under one critical
         # section by calling unpin_all() with the lock already held.
@@ -154,7 +150,8 @@ class BufferPool:
 
     @property
     def lru_bytes(self) -> int:
-        """Bytes currently held by the LRU overflow area."""
+        """Bytes currently held by the LRU area (always 0 when a
+        budget is set)."""
         return self._lru_bytes
 
     @property
@@ -331,10 +328,7 @@ class BufferPool:
                 return
             if self._budget is not None:
                 projected = sum(
-                    len(self._lru[name])
-                    if name in self._lru
-                    else self._store.size_bytes(name)
-                    for name in to_pin
+                    self._store.size_bytes(name) for name in to_pin
                 )
                 if self._pinned_bytes + projected > self._budget:
                     raise BudgetExceededError(
@@ -375,21 +369,6 @@ class BufferPool:
                 self._pinned_bytes += len(payload)
                 record("cache.pin", name, nbytes=len(payload))
             get_metrics().inc("cache_pins_total", len(fresh))
-            # Pinning shrinks the spare budget the LRU area may occupy;
-            # evict until pinned + LRU fits the budget again, or the
-            # resident set would violate the Case-3 S_total constraint.
-            self._shrink_lru_to_spare()
-
-    def _shrink_lru_to_spare(self) -> None:
-        # Caller holds the lock.
-        if self._budget is None:
-            return
-        spare = self._budget - self._pinned_bytes
-        while self._lru and self._lru_bytes > spare:
-            evicted_name, evicted = self._lru.popitem(last=False)
-            self._lru_bytes -= len(evicted)
-            record("cache.evict", evicted_name, nbytes=len(evicted))
-            get_metrics().inc("cache_evictions_total")
 
     def unpin_all(self) -> None:
         """Release every pinned file (contents are dropped)."""
@@ -412,9 +391,9 @@ class BufferPool:
     def get(self, name: str) -> bytes:
         """Fetch a file through the pool.
 
-        Pinned files and (if enabled) LRU-resident files are served from
-        memory; everything else is fetched from storage and charged to
-        the accountant.  Concurrent misses on the same name share one
+        Pinned files and LRU-resident files are served from memory;
+        everything else is fetched from storage and charged to the
+        accountant.  Concurrent misses on the same name share one
         storage read (single-flight); only the thread that performs the
         read is charged.
         """
@@ -425,7 +404,6 @@ class BufferPool:
                 metrics.inc("cache_hits_total", tier="pinned")
                 return self._pinned[name]
             if name in self._lru:
-                self._lru.move_to_end(name)
                 record("cache.hit", name, tier="lru")
                 metrics.inc("cache_hits_total", tier="lru")
                 return self._lru[name]
@@ -437,29 +415,13 @@ class BufferPool:
         return payload
 
     def _maybe_admit(self, name: str, payload: bytes) -> None:
-        # Caller holds the lock.
-        if name in self._pinned:
-            return
-        if self._budget is None:
-            # Unconstrained: cache everything (Case 1/2 semantics).
-            if name in self._lru:
-                return
-            self._lru[name] = payload
-            self._lru_bytes += len(payload)
-            return
-        if not self._use_spare_lru:
-            return
-        if name in self._lru:
-            return
-        spare = self._budget - self._pinned_bytes
-        if len(payload) > spare:
-            return
-        while self._lru_bytes + len(payload) > spare and self._lru:
-            evicted_name, evicted = self._lru.popitem(last=False)
-            self._lru_bytes -= len(evicted)
-            record("cache.evict", evicted_name, nbytes=len(evicted))
-            get_metrics().inc("cache_evictions_total")
-        if self._lru_bytes + len(payload) <= spare:
+        # Caller holds the lock.  Only an unbounded pool keeps unpinned
+        # reads (Case 1/2); a budgeted one streams them (Case 3).
+        if (
+            self._budget is None
+            and name not in self._pinned
+            and name not in self._lru
+        ):
             self._lru[name] = payload
             self._lru_bytes += len(payload)
 
@@ -549,7 +511,6 @@ class BufferPool:
             ):
                 self._pinned[name] = payload
                 self._pinned_bytes += len(payload)
-                self._shrink_lru_to_spare()
             else:
                 self._maybe_admit(name, payload)
         return payload

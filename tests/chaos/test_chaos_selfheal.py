@@ -6,7 +6,7 @@ bit-identical to the serial column-scan oracle, every failed replica
 is rebuilt from its on-disk shard stores and re-admitted to ACTIVE
 rotation after a canary check, and the fleet never drains — both
 replicas finish the run healthy.  IO accounting stays byte-exact
-throughout, including the work a hedge race discards.
+throughout.
 
 Fleet spawning and supervised restarts make these the slowest gateway
 tests; they carry the ``chaos``, ``gateway``, ``shard``, and
@@ -40,10 +40,6 @@ pytestmark = [
 ]
 
 NUM_SHARDS = 2
-
-#: Injected per-read latency for the hedging test: large enough that
-#: the slow fleet's scatter reliably outlasts the hedge delay.
-SLOW_DELAY_S = 0.02
 
 QUERIES = [
     RangeQuery([(0, 5)]),
@@ -90,23 +86,12 @@ def oracle(selfheal_shard_base):
     }
 
 
-def _replica_fleet(
-    selfheal_shard_base, replica_id: int, slow: bool = False
-) -> ShardedReplica:
+def _replica_fleet(selfheal_shard_base, replica_id: int) -> ShardedReplica:
     """Spawn, start, and prepare one replica fleet over the shared
     shard stores (read-only serving, so fleets can share them)."""
     hierarchy, _column, specs = selfheal_shard_base
-    fault_kwargs = (
-        dict(seed=replica_id, slow_rate=1.0, slow_delay_s=SLOW_DELAY_S)
-        if slow
-        else None
-    )
     executor = ShardedExecutor(
-        hierarchy,
-        specs,
-        threads_per_shard=1,
-        fault_policy_kwargs=fault_kwargs,
-        recv_timeout_s=60.0,
+        hierarchy, specs, threads_per_shard=1, recv_timeout_s=60.0
     )
     executor.start()
     executor.prepare(Workload(QUERIES))
@@ -179,12 +164,11 @@ class TestSequentialKillReAdmission:
                     waves,
                     gateway.metrics,
                     gateway.batch_records,
-                    gateway.hedge_records,
                     gateway.events,
                     states,
                 )
 
-        waves, metrics, records, hedges, events, states = asyncio.run(
+        waves, metrics, records, events, states = asyncio.run(
             scenario()
         )
         # Every wave, before/during/after each kill, is
@@ -219,8 +203,6 @@ class TestSequentialKillReAdmission:
         assert records
         for record in records:
             assert record.report.reconciles()
-        # No hedging configured: no side work to account.
-        assert hedges == ()
         # Determinism: the trace carries no wall-clock attributes.
         for event in events:
             for key in event.attrs:
@@ -256,64 +238,3 @@ class TestSequentialKillReAdmission:
                 executor.restart()
         finally:
             executor.close()
-
-
-class TestHedgeReconciliation:
-    def test_hedged_batch_reconciles_including_cancelled_work(
-        self, selfheal_shard_base, oracle
-    ):
-        """With replica 0's reads slowed past the hedge delay, the
-        first batch hedges to replica 1 and the fast answer wins.
-        The slow side still finishes its scatter; that discarded work
-        is recorded on the hedge ledger with byte-exact accounting —
-        and never billed to the batch the clients saw."""
-        slow = _replica_fleet(selfheal_shard_base, 0, slow=True)
-        fast = _replica_fleet(selfheal_shard_base, 1)
-        config = GatewayConfig(
-            max_batch_size=len(QUERIES),
-            max_batch_delay_s=0.05,
-            hedge_delay_s=0.1,
-            max_probe_attempts=0,
-        )
-
-        async def scenario():
-            async with Gateway([slow, fast], config) as gateway:
-                results = await asyncio.gather(
-                    *(gateway.submit(query) for query in QUERIES)
-                )
-                # The discarded loser finishes its slow scatter in
-                # the background; wait for the reaper to record it.
-                await _poll(
-                    lambda: len(gateway.hedge_records) == 2
-                )
-                return (
-                    results,
-                    gateway.metrics,
-                    gateway.batch_records,
-                    gateway.hedge_records,
-                )
-
-        results, metrics, records, hedges = asyncio.run(scenario())
-        for query, result in zip(QUERIES, results):
-            assert result.answer == oracle[query]
-        count = metrics.counter_sum
-        assert count("gateway_hedges_total", outcome="fired") == 1
-        assert count("gateway_hedges_total", outcome="won") == 1
-        hedged = [record for record in records if record.hedged]
-        assert len(hedged) == 1
-        assert hedged[0].replica_id == 1
-        assert hedged[0].report.reconciles()
-        winner = next(record for record in hedges if record.used)
-        loser = next(record for record in hedges if not record.used)
-        assert winner.role == "hedge"
-        assert winner.replica_id == 1
-        assert loser.role == "primary"
-        assert loser.replica_id == 0
-        # The cancelled side's real IO is accounted byte-exactly on
-        # the hedge ledger, separate from the batch's billed report.
-        assert loser.error is None
-        assert loser.report is not None
-        assert loser.report is not hedged[0].report
-        assert loser.report.reconciles()
-        # Honest counting: exactly one hedge fired, one won.
-        assert winner.batch_id == loser.batch_id == hedged[0].batch_id

@@ -39,6 +39,16 @@ class TestUnboundedPool:
         pool.get("node_1.wah")
         assert pool.accountant.bytes_read == 300
 
+    def test_pin_promotes_lru_entry_without_rereading(self, store):
+        pool = BufferPool(store)
+        pool.get("node_1.wah")  # 200 in the LRU area
+        pool.get("node_2.wah")  # 300 in the LRU area
+        pool.pin(["node_1.wah"])  # promoted out of the LRU, no re-read
+        assert pool.accountant.reads_by_name["node_1.wah"] == 1
+        assert pool.pinned_bytes == 200
+        assert pool.lru_bytes == 300
+        assert pool.resident_bytes == 500
+
 
 class TestPinning:
     def test_pin_reads_each_file_once(self, store):
@@ -79,74 +89,11 @@ class TestBudgetedStreaming:
         pool.get("node_0.wah")
         assert pool.accountant.read_count == 2
 
-    def test_spare_budget_lru_caches_within_budget(self, store):
-        pool = BufferPool(
-            store, budget_bytes=350, use_spare_budget_lru=True
-        )
-        pool.pin(["node_0.wah"])  # 100 bytes pinned, 250 spare
-        pool.get("node_1.wah")  # 200 bytes -> cached in spare
-        pool.get("node_1.wah")
-        assert pool.accountant.read_count == 2  # pin + one fetch
-
-    def test_spare_budget_lru_evicts_oldest(self, store):
-        pool = BufferPool(
-            store, budget_bytes=400, use_spare_budget_lru=True
-        )
-        pool.get("node_1.wah")  # 200
-        pool.get("node_2.wah")  # 300 -> evicts node_1
-        pool.get("node_1.wah")  # re-read
-        assert pool.accountant.read_count == 3
-
     def test_oversized_file_never_admitted(self, store):
-        pool = BufferPool(
-            store, budget_bytes=100, use_spare_budget_lru=True
-        )
+        pool = BufferPool(store, budget_bytes=100)
         pool.get("node_4.wah")  # 500 bytes > budget
         pool.get("node_4.wah")
         assert pool.accountant.read_count == 2
-
-    def test_pin_after_lru_warm_keeps_resident_within_budget(
-        self, store
-    ):
-        """Regression: pinning must shrink the LRU area it displaces.
-
-        Warming the LRU first and pinning afterwards used to leave
-        ``pinned + lru`` above the budget, violating the Case-3
-        ``S_total`` constraint.
-        """
-        pool = BufferPool(
-            store, budget_bytes=450, use_spare_budget_lru=True
-        )
-        pool.get("node_2.wah")  # 300 bytes cached in the LRU area
-        assert pool.lru_bytes == 300
-        pool.pin(["node_0.wah", "node_1.wah"])  # 300 bytes pinned
-        assert pool.pinned_bytes == 300
-        assert pool.resident_bytes <= pool.budget_bytes
-        assert not pool.contains("node_2.wah")
-        # The evicted file streams again on the next access.
-        pool.get("node_2.wah")
-        assert pool.accountant.reads_by_name["node_2.wah"] == 2
-
-    def test_pin_evicts_only_until_budget_holds(self, store):
-        pool = BufferPool(
-            store, budget_bytes=600, use_spare_budget_lru=True
-        )
-        pool.get("node_0.wah")  # 100 in LRU
-        pool.get("node_1.wah")  # 200 in LRU (300 total)
-        pool.pin(["node_2.wah"])  # 300 pinned -> spare 300, LRU fits
-        assert pool.resident_bytes <= pool.budget_bytes
-        assert pool.contains("node_0.wah")
-        assert pool.contains("node_1.wah")
-
-    def test_pin_promoting_lru_entry_respects_budget(self, store):
-        pool = BufferPool(
-            store, budget_bytes=500, use_spare_budget_lru=True
-        )
-        pool.get("node_1.wah")  # 200 in LRU
-        pool.get("node_2.wah")  # 300 in LRU (500 total)
-        pool.pin(["node_1.wah"])  # promoted out of the LRU, no re-read
-        assert pool.accountant.reads_by_name["node_1.wah"] == 1
-        assert pool.resident_bytes <= pool.budget_bytes
 
 
 class TestPinDuplicates:

@@ -4,8 +4,12 @@ accounting checked against the plan's prediction."""
 
 from __future__ import annotations
 
+import types
+import zlib
+
 import pytest
 
+from repro.bitmap import serialization
 from repro.core.executor import QueryExecutor, scan_answer
 from repro.core.opnodes import build_query_plan, leaf_only_plan
 from repro.core.single import (
@@ -13,6 +17,7 @@ from repro.core.single import (
     hybrid_cut,
     inclusive_cut,
 )
+from repro.obs import collecting_metrics
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import node_file_name
 from repro.storage.costmodel import MB
@@ -220,6 +225,35 @@ class TestIOAccounting:
             count == 2
             for count in pool.accountant.reads_by_name.values()
         )
+
+
+class TestDecodeMetrics:
+    def test_one_crc_check_per_decoded_payload_with_metrics_on(
+        self, materialized_setup, monkeypatch
+    ):
+        """With metrics on, each decoded payload is checksummed once,
+        by ``deserialize_wah``: the ``decoded_bytes_total`` counter
+        does not re-read the frame to label it."""
+        hierarchy, column, catalog = materialized_setup
+        crc_calls = []
+
+        def crc32(data, value=0):
+            crc_calls.append(len(data))
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(
+            serialization, "zlib", types.SimpleNamespace(crc32=crc32)
+        )
+        query = RangeQuery([(2, 9), (12, 14)])
+        executor = QueryExecutor(catalog)
+        with collecting_metrics() as metrics:
+            result = executor.execute_query(
+                query, hierarchy.internal_children(hierarchy.root_id)
+            )
+        assert result.answer == scan_answer(column, query)
+        decodes = metrics.histogram("decode_seconds").count
+        assert decodes > 0
+        assert len(crc_calls) == decodes
 
 
 class TestScanAnswer:

@@ -966,6 +966,24 @@ class TestTcp:
         assert good["count"] == scan_answer(column, valid).count()
 
     def test_malformed_and_failing_requests_answer_typed(self):
+        """Every malformed line is refused with a typed, non-retryable
+        ``WorkloadError`` before admission; a well-formed request that
+        misses its deadline still gets ``DeadlineExceededError``."""
+        malformed = [
+            b"this is not json\n",
+            b"[1, 2]\n",  # not an object
+            b'{"id": 7}\n',  # no ranges
+            b'{"id": 9, "ranges": 5}\n',
+            b'{"id": 10, "ranges": [[0, "x"]]}\n',
+            b'{"id": 11, "ranges": [[0, 1]], "deadline_s": "soon"}\n',
+            b'{"id": 12, "ranges": [[0, 1]], "priority": "platinum"}\n',
+            b'{"id": 13, "ranges": [[0, 1]], "deadline_s": -1}\n',
+            b'{"id": 14, "ranges": [[0, 1]], "deadline_s": NaN}\n',
+        ]
+        lines = malformed + [
+            b'{"id": 8, "ranges": [[0, 1]], "deadline_s": 0.0001}\n',
+        ]
+
         async def scenario():
             async with Gateway([StubReplica(0)]) as gateway:
                 server = await gateway.serve_tcp()
@@ -973,12 +991,6 @@ class TestTcp:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                lines = [
-                    b"this is not json\n",
-                    b'{"id": 7}\n',  # no ranges
-                    b'{"id": 8, "ranges": [[0, 1]], '
-                    b'"deadline_s": 0.0001}\n',
-                ]
                 for line in lines:
                     writer.write(line)
                 await writer.drain()
@@ -992,16 +1004,31 @@ class TestTcp:
                 await writer.wait_closed()
                 server.close()
                 await server.wait_closed()
-                return responses
+                admitted = gateway.metrics.histogram(
+                    "gateway_queue_depth"
+                ).count
+                return responses, admitted
 
-        responses = asyncio.run(scenario())
-        by_id = {
-            response["id"]: response for response in responses
-        }
+        responses, admitted = asyncio.run(scenario())
         assert all(
             response["status"] == "error"
             for response in responses
         )
-        assert by_id[None]["error"] == "JSONDecodeError"
-        assert by_id[7]["error"] == "KeyError"
-        assert by_id[8]["error"] == "DeadlineExceededError"
+        refused = [
+            response
+            for response in responses
+            if response["error"] == "WorkloadError"
+        ]
+        ids = [response["id"] for response in refused]
+        assert ids.count(None) == 2  # no id to echo
+        assert sorted(filter(None, ids)) == [7, 9, 10, 11, 12, 13, 14]
+        assert all(
+            response["detail"] == {"retryable": False}
+            for response in refused
+        )
+        (late,) = [
+            response for response in responses if response["id"] == 8
+        ]
+        assert late["error"] == "DeadlineExceededError"
+        # Only the well-formed request reached admission.
+        assert admitted == 1

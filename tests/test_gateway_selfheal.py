@@ -1,8 +1,8 @@
 """Tests for the gateway's self-healing edge.
 
 Replica lifecycle (suspect → probation → re-admission or death),
-hedged requests, circuit breaking, and priority-aware admission are
-exercised with deterministic stub replicas and tight supervisor
+sequential failover, circuit breaking, and priority-aware admission
+are exercised with deterministic stub replicas and tight supervisor
 timings.  The real-backend paths (:class:`~repro.serve.BatchReplica`
 health probes, sharded fleet re-admission) live in
 ``tests/chaos/test_chaos_selfheal.py``.
@@ -133,19 +133,25 @@ class ErrorOutcomeReplica(StubReplica):
 
 class ScheduledReplica(StubReplica):
     """Answers, or raises a fleet-level failure, after a fixed delay;
-    counts its failed attempts."""
+    records when each attempt starts and ends, and counts its failed
+    attempts."""
 
     def __init__(self, replica_id: int, delay_s: float, fails: bool):
         super().__init__(replica_id, delay_s=delay_s)
         self.fails = fails
         self.failed_attempts = 0
+        self.attempt_spans: list[tuple[float, float]] = []
 
     def run_batch(self, queries):
-        if not self.fails:
-            return super().run_batch(queries)
-        time.sleep(self.delay_s)
-        self.failed_attempts += 1
-        raise ShardFailedError(self.replica_id, "scheduled failure")
+        started = time.perf_counter()
+        try:
+            if not self.fails:
+                return super().run_batch(queries)
+            time.sleep(self.delay_s)
+            self.failed_attempts += 1
+            raise ShardFailedError(self.replica_id, "scheduled failure")
+        finally:
+            self.attempt_spans.append((started, time.perf_counter()))
 
 
 class LabelFailReplica(StubReplica):
@@ -489,165 +495,6 @@ class TestCircuitBreaker:
         _assert_no_wall_clock_attrs(events)
 
 
-class TestHedging:
-    def test_hedge_fires_and_first_answer_wins(self):
-        """A slow primary past the hedge delay triggers a second
-        dispatch; the fast hedge's bit-identical answer is delivered
-        and the slow side's work is recorded discarded — never billed
-        to the batch."""
-        slow = StubReplica(0, delay_s=0.5)
-        fast = StubReplica(1)
-        config = GatewayConfig(
-            max_batch_size=len(QUERIES),
-            max_batch_delay_s=0.01,
-            hedge_delay_s=0.05,
-            max_probe_attempts=0,
-        )
-
-        async def scenario():
-            with collecting_metrics() as metrics:
-                async with Gateway([slow, fast], config) as gateway:
-                    results = await asyncio.gather(
-                        *(gateway.submit(q) for q in QUERIES)
-                    )
-                    await _poll(
-                        lambda: len(gateway.hedge_records) == 2
-                    )
-                    return (
-                        results,
-                        gateway.metrics,
-                        gateway.replica_states(),
-                        gateway.batch_records,
-                        gateway.hedge_records,
-                        gateway.events,
-                        metrics,
-                    )
-
-        results, own, states, records, hedges, events, counters = (
-            asyncio.run(scenario())
-        )
-        for query, result in zip(QUERIES, results):
-            assert result.answer.words == _expected_answer(query).words
-        assert own.counter_sum("gateway_hedges_total", outcome="fired") == 1
-        assert own.counter_sum("gateway_hedges_total", outcome="won") == 1
-        # No replica failed: hedging is latency-driven, not failover.
-        assert own.counter_sum("gateway_failovers_total") == 0
-        assert list(states.values()).count("active") == 2
-        hedged = [record for record in records if record.hedged]
-        assert len(hedged) == 1
-        assert hedged[0].replica_id == 1
-        assert hedged[0].hedge_replica_id == 1
-        assert hedged[0].report.reconciles()
-        winner = next(record for record in hedges if record.used)
-        loser = next(record for record in hedges if not record.used)
-        assert winner.role == "hedge"
-        assert winner.replica_id == 1
-        assert winner.batch_id == hedged[0].batch_id
-        assert loser.role == "primary"
-        assert loser.replica_id == 0
-        assert loser.discarded
-        assert loser.error is None
-        # The discarded side completed: its work is accounted here,
-        # not on the batch record.
-        assert loser.report is not None
-        assert loser.report is not hedged[0].report
-        assert (
-            counters.counter("gateway_hedges_total", outcome="fired")
-            == 1
-        )
-        assert (
-            counters.counter("gateway_hedges_total", outcome="won")
-            == 1
-        )
-        # The *hedge* won here, so no hedge was "lost" — the
-        # discarded side was the primary.
-        assert (
-            counters.counter("gateway_hedges_total", outcome="lost")
-            == 0
-        )
-        hedge_events = [
-            event for event in events if event.kind == "gateway.hedge"
-        ]
-        assert len(hedge_events) == 1
-        assert hedge_events[0].attrs["primary"] == 0
-        _assert_no_wall_clock_attrs(events)
-
-    def test_primary_wins_when_it_finishes_first(self):
-        """The primary finishing during the race beats the hedge —
-        ties break toward the primary, and the hedge side is reaped
-        as the discarded loser."""
-        primary = StubReplica(0, delay_s=0.1)
-        hedge = StubReplica(1, delay_s=0.6)
-        config = GatewayConfig(
-            max_batch_size=len(QUERIES),
-            max_batch_delay_s=0.01,
-            hedge_delay_s=0.02,
-            max_probe_attempts=0,
-        )
-
-        async def scenario():
-            with collecting_metrics() as metrics:
-                async with Gateway(
-                    [primary, hedge], config
-                ) as gateway:
-                    results = await asyncio.gather(
-                        *(gateway.submit(q) for q in QUERIES)
-                    )
-                    await _poll(
-                        lambda: len(gateway.hedge_records) == 2
-                    )
-                    return (
-                        results,
-                        gateway.metrics,
-                        gateway.hedge_records,
-                        metrics,
-                    )
-
-        results, own, hedges, counters = asyncio.run(scenario())
-        for query, result in zip(QUERIES, results):
-            assert result.answer.words == _expected_answer(query).words
-        assert own.counter_sum("gateway_hedges_total", outcome="fired") == 1
-        assert own.counter_sum("gateway_hedges_total", outcome="won") == 0
-        winner = next(record for record in hedges if record.used)
-        assert winner.role == "primary"
-        assert winner.replica_id == 0
-        loser = next(record for record in hedges if not record.used)
-        assert loser.role == "hedge"
-        assert (
-            counters.counter("gateway_hedges_total", outcome="lost")
-            == 1
-        )
-
-    def test_hedge_delay_derives_from_latency_quantile(self):
-        """Without a fixed override the hedge delay comes from the
-        gateway's own request-latency histogram — disabled until it
-        has seen ``hedge_min_samples`` requests."""
-        config = GatewayConfig(
-            hedge_quantile=0.75, hedge_min_samples=4
-        )
-        gateway = Gateway([StubReplica(0)], config)
-        assert gateway._hedge_delay() is None
-        for value in (0.010, 0.020, 0.030):
-            gateway.metrics.observe("gateway_request_seconds", value)
-        assert gateway._hedge_delay() is None
-        gateway.metrics.observe("gateway_request_seconds", 0.040)
-        assert gateway._hedge_delay() == pytest.approx(0.030)
-
-    def test_fixed_delay_overrides_quantile(self):
-        config = GatewayConfig(
-            hedge_quantile=0.75,
-            hedge_delay_s=0.123,
-            hedge_min_samples=1,
-        )
-        gateway = Gateway([StubReplica(0)], config)
-        assert gateway._hedge_delay() == 0.123
-
-    def test_hedging_disabled_by_default(self):
-        gateway = Gateway([StubReplica(0)])
-        gateway.metrics.observe("gateway_request_seconds", 0.01)
-        assert gateway._hedge_delay() is None
-
-
 class TestAttemptSchedule:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -656,23 +503,18 @@ class TestAttemptSchedule:
             min_size=2,
             max_size=3,
         ),
-        hedging=st.booleans(),
     )
-    def test_schedule_invariants_hold_under_any_timing(
-        self, plans, hedging
-    ):
-        """Failover and hedging as one schedule, over replicas that
-        each answer or fail after a few milliseconds: only facts that
-        hold whatever the interleaving are asserted.  This reaches an
-        attempt failing while its hedge twin runs, and both failing."""
+    def test_schedule_invariants_hold_under_any_timing(self, plans):
+        """Sequential failover over replicas that each answer or fail
+        after a few milliseconds: only facts that hold whatever the
+        timing are asserted.  No two attempts of the batch overlap,
+        and the failed replicas are exactly the ones tried before the
+        one that answered."""
         replicas = [
             ScheduledReplica(replica_id, delay_ms / 1000, fails)
             for replica_id, (delay_ms, fails) in enumerate(plans)
         ]
-        config = GatewayConfig(
-            hedge_delay_s=0.002 if hedging else None,
-            max_probe_attempts=0,
-        )
+        config = GatewayConfig(max_probe_attempts=0)
         query = QUERIES[1]
 
         async def scenario():
@@ -682,7 +524,6 @@ class TestAttemptSchedule:
                     answer = await gateway.submit(query)
                 except AllReplicasFailedError as exc:
                     answer = exc
-            # aclose() waited for every attempt, reaped ones included.
             return answer, gateway
 
         with collecting_metrics() as metrics:
@@ -695,25 +536,28 @@ class TestAttemptSchedule:
             for event in gateway.events
             if event.kind == "gateway.failover"
         ]
-        ledger = gateway.hedge_records
+        attempts = sorted(
+            (started, ended, replica.replica_id)
+            for replica in replicas
+            for started, ended in replica.attempt_spans
+        )
+        for (_, ended, _), (started, _, _) in zip(attempts, attempts[1:]):
+            assert ended <= started
+        tried = [replica_id for _, _, replica_id in attempts]
         if all(fails for _delay, fails in plans):
             assert isinstance(answer, AllReplicasFailedError)
             ids = [replica_id for replica_id, _, _ in answer.attempts]
             assert sorted(ids) == list(range(len(plans)))
-            assert ids == failover_ids
+            assert ids == failover_ids == tried
             assert gateway.batch_records == ()
             return
         assert answer.answer.words == _expected_answer(query).words
         (record,) = gateway.batch_records
         assert record.attempts == len(record.failed_replica_ids) + 1
         assert not replicas[record.replica_id].fails
-        assert all(row.batch_id == record.batch_id for row in ledger)
-        if record.hedged:
-            (used,) = [row for row in ledger if row.used]
-            assert used.replica_id == record.replica_id
-            assert used.report is record.report
-        else:
-            assert ledger == ()
+        assert tried == [*record.failed_replica_ids, record.replica_id]
+        assert list(record.failed_replica_ids) == failover_ids
+        assert all(replicas[i].fails for i in record.failed_replica_ids)
 
 
 class TestPriorityAdmission:
@@ -873,10 +717,6 @@ class TestPriorityAdmission:
             )
         with pytest.raises(ValueError):
             GatewayConfig(default_priority="platinum")
-        with pytest.raises(ValueError):
-            GatewayConfig(hedge_quantile=1.5)
-        with pytest.raises(ValueError):
-            GatewayConfig(hedge_delay_s=-0.1)
         with pytest.raises(ValueError):
             GatewayConfig(breaker_failures=0)
         with pytest.raises(ValueError):
