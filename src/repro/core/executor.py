@@ -34,6 +34,7 @@ appear as ``delta-merge`` rows in EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -187,6 +188,9 @@ class QueryExecutor:
         self._verify = verify
         self._retry = retry_policy or DEFAULT_DECODE_RETRY
         self._allow_degraded = allow_degraded
+        # The newest manifest generation seen and its live delta seqs.
+        self._delta_view: tuple[int, frozenset[int]] = (0, frozenset())
+        self._delta_view_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -203,16 +207,36 @@ class QueryExecutor:
         """The row segments of one manifest snapshot, in row order.
 
         A durable store with a built base gives its base, then each
-        live delta generation in seq order; any other store is one
-        base segment of the catalog's rows.
+        live delta generation in seq order (and releases the ones a
+        fold retired); any other store is one base segment of the
+        catalog's rows.
         """
         manifest = getattr(self._catalog.store, "manifest", None)
         if manifest is None or manifest.num_rows <= 0:
             return (_Segment(None, self._catalog.num_rows),)
+        self._release_retired(manifest)
         return (_Segment(None, manifest.num_rows),) + tuple(
             _Segment(delta.seq, delta.num_rows)
             for delta in manifest.deltas
         )
+
+    def _release_retired(self, manifest) -> None:
+        """Drop the pool's copies of the delta generations that the
+        newest manifest seen here listed and ``manifest`` does not.
+
+        Seqs are never reused, so nothing reads those files again.
+        Only a newer generation retires anything: a thread holding an
+        older manifest cannot drop a delta appended since.
+        """
+        with self._delta_view_lock:
+            generation, seqs = self._delta_view
+            if manifest.generation <= generation:
+                return
+            live = frozenset(delta.seq for delta in manifest.deltas)
+            self._delta_view = (manifest.generation, live)
+        for seq in seqs - live:
+            for node in self._catalog.hierarchy:
+                self._pool.invalidate(delta_file_name(seq, node.node_id))
 
     def _read_bitmap_file(
         self,
@@ -220,13 +244,12 @@ class QueryExecutor:
         node_id: int,
         segment: _Segment,
         events: list[DegradedRead],
-        fresh: bool = False,
     ) -> WahBitmap:
         """Read and decode one bitmap file, retrying as needed.
 
-        Attempt 1 goes through the pool's cache, unless ``fresh``;
-        later attempts force a fresh fetch (a cached copy that failed
-        its checksum is stale by definition).  If every attempt fails,
+        Attempt 1 goes through the pool's cache; later attempts force
+        a fresh fetch (a cached copy that failed its checksum is
+        corrupt by definition).  If every attempt fails,
         :meth:`_recover` supplies the bitmap from the same segment's
         children.
         """
@@ -238,7 +261,7 @@ class QueryExecutor:
             try:
                 payload = (
                     self._pool.reload(name)
-                    if attempt or fresh
+                    if attempt
                     else self._pool.get(name)
                 )
             except StorageError as err:
@@ -284,11 +307,10 @@ class QueryExecutor:
         """A node's bitmap in one row segment, checked against the
         segment's row count.
 
-        A base whose width disagrees is a copy cached before a fold
-        replaced the file (delta payloads are immutable, so only a base
-        goes stale): it is reloaded in place, once, keeping its pin.
-        If the reloaded base still disagrees, the snapshot is what is
-        stale, and :class:`_StaleSnapshot` restarts the query.
+        The pool serves only the store's current file, so a base whose
+        width disagrees was replaced by a fold that committed after
+        this query took its snapshot: :class:`_StaleSnapshot` restarts
+        the query.
         """
         name = segment.file_name(node_id)
         bitmap = self._read_bitmap_file(name, node_id, segment, events)
@@ -300,23 +322,10 @@ class QueryExecutor:
                 f"delta generation {segment.seq} appended "
                 f"{segment.num_rows} rows"
             )
-        record(
-            "executor.stale-base",
-            name,
-            node_id=node_id,
-            cached_bits=bitmap.num_bits,
-            manifest_rows=segment.num_rows,
+        raise _StaleSnapshot(
+            f"{name!r} decodes to {bitmap.num_bits} bits but the "
+            f"snapshot records {segment.num_rows} base rows"
         )
-        get_metrics().inc("stale_base_invalidations_total")
-        bitmap = self._read_bitmap_file(
-            name, node_id, segment, events, fresh=True
-        )
-        if bitmap.num_bits != segment.num_rows:
-            raise _StaleSnapshot(
-                f"{name!r} decodes to {bitmap.num_bits} bits but the "
-                f"snapshot records {segment.num_rows} base rows"
-            )
-        return bitmap
 
     def _recover(
         self,
@@ -418,12 +427,12 @@ class QueryExecutor:
         """Run a plan once per row segment of one manifest snapshot
         and concatenate the segment answers in row order.
 
-        A snapshot goes stale when a fold commits mid-query: a base
-        still disagrees with it after a reload, or a file it names is
-        gone while the current manifest lists other segments (the fold
-        retired that delta generation, or swept the base file being
-        read).  The query then restarts against a fresh snapshot, at
-        most :data:`SNAPSHOT_ATTEMPTS` times in all.
+        A snapshot goes stale when a fold commits mid-query: a base's
+        width disagrees with it, or a file it names is gone while the
+        current manifest lists other segments (the fold retired
+        that delta generation, or swept the base file being read).
+        The query then restarts against a fresh snapshot, at most
+        :data:`SNAPSHOT_ATTEMPTS` times in all.
         """
         attempt = 1
         while True:

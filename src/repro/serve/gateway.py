@@ -252,10 +252,12 @@ class Replica:
 
     Subclasses adapt a concrete backend; the contract is small:
     :meth:`run_batch` executes a tuple of queries *synchronously*
-    (the gateway calls it on the event loop's default executor, via
-    :meth:`serve_batch`) and returns a report exposing ``outcomes`` —
-    per-query :class:`~repro.serve.batch.QueryOutcome`\\ s in query
-    order — and ``reconciles()``.  A raise (typically
+    (the gateway calls it on the event loop's default executor, and
+    may call it from several threads at once, so a backend that
+    multiplexes one channel serializes inside itself) and returns a
+    report exposing ``outcomes`` — per-query
+    :class:`~repro.serve.batch.QueryOutcome`\\ s in query order — and
+    ``reconciles()``.  A raise (typically
     :class:`~repro.errors.ShardError`: "this fleet is gone") fails
     the attempt; the gateway suspects the replica, closes it, and
     tries the batch on a sibling.  The supervisor may later call
@@ -269,35 +271,15 @@ class Replica:
         replica_id: dense id used in metrics, traces, and reports.
     """
 
-    #: Whether the gateway must serialize batches through this replica
-    #: (backends that multiplex a single channel, like the sharded
-    #: fleet's per-shard pipes, are not safe to call concurrently).
-    serialize_batches = False
-
     def __init__(self, replica_id: int):
         self.replica_id = replica_id
         self._closed = False
         self._close_lock = threading.Lock()
-        self._batch_lock = threading.Lock()
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run (and no revive since)."""
         return self._closed
-
-    def serve_batch(self, queries: tuple[RangeQuery, ...]):
-        """Run one micro-batch, serializing when the backend needs it.
-
-        The gateway's entry point; dispatch threads (and the
-        supervisor's canary probe) call this instead of
-        :meth:`run_batch` directly so backends that are not safe to
-        call concurrently (``serialize_batches = True``) see one batch
-        at a time.
-        """
-        if self.serialize_batches:
-            with self._batch_lock:
-                return self.run_batch(queries)
-        return self.run_batch(queries)
 
     def run_batch(self, queries: tuple[RangeQuery, ...]):
         """Serve one micro-batch; return a report with ``outcomes``."""
@@ -350,14 +332,13 @@ class ShardedReplica(Replica):
     :meth:`~repro.serve.sharded.ShardedExecutor.restart`.
     """
 
-    serialize_batches = True
-
     def __init__(self, replica_id: int, executor: "ShardedExecutor"):
         super().__init__(replica_id)
         self.executor = executor
 
     def run_batch(self, queries: tuple[RangeQuery, ...]):
-        """Scatter-gather the batch across the fleet's shards."""
+        """Scatter-gather the batch across the fleet's shards (the
+        executor gives concurrent batches turns on its pipes)."""
         return self.executor.run(queries)
 
     def _do_close(self) -> None:
@@ -1080,7 +1061,7 @@ class Gateway:
             tried.append(replica.replica_id)
             try:
                 report = await self._loop.run_in_executor(
-                    None, replica.serve_batch, queries
+                    None, replica.run_batch, queries
                 )
             except Exception as error:
                 reason = type(error).__name__
@@ -1374,7 +1355,7 @@ class Gateway:
             if canary is None:
                 return True
             query, expected = canary
-            report = replica.serve_batch((query,))
+            report = replica.run_batch((query,))
             outcome = report.outcomes[0]
             if outcome.error is not None or outcome.result is None:
                 return False
@@ -1382,7 +1363,7 @@ class Gateway:
                 peer = self._active_peer(exclude=replica.replica_id)
                 if peer is None:
                     return True
-                peer_report = peer.serve_batch((query,))
+                peer_report = peer.run_batch((query,))
                 peer_outcome = peer_report.outcomes[0]
                 if (
                     peer_outcome.error is not None

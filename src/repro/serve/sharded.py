@@ -35,6 +35,7 @@ The discipline of the thread path survives the process boundary:
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,10 +195,10 @@ class _WorkerState:
         self._catalog = MaterializedNodeCatalog.from_store(
             hierarchy, self._store
         )
-        if self._catalog.num_rows != config.expected_rows:
+        if self.num_rows != config.expected_rows:
             raise ShardError(
                 f"shard {config.shard_id} store holds "
-                f"{self._catalog.num_rows} rows, expected "
+                f"{self.num_rows} rows, expected "
                 f"{config.expected_rows}"
             )
         self._batch = None
@@ -207,7 +208,10 @@ class _WorkerState:
 
     @property
     def num_rows(self) -> int:
-        """Rows in the shard's reopened catalog."""
+        """Rows the shard's store answers for: the base plus, on a
+        durable store, every live delta generation."""
+        if self._config.durable:
+            return self._store.total_num_rows
         return self._catalog.num_rows
 
     def prepare(
@@ -316,8 +320,8 @@ class _WorkerState:
         return ("ingested", self._config.shard_id, result)
 
     def compact(self, max_deltas: int | None) -> tuple:
-        """Fold this shard's delta generations into a new base, then
-        drop the shard pool's now-stale cached payloads.
+        """Fold this shard's delta generations into a new base (the
+        pool re-reads each folded base it held when next used).
 
         A pool budgeted to the cut's *file bytes* (no explicit budget
         at prepare time) is rebuilt against the new base generation:
@@ -330,12 +334,8 @@ class _WorkerState:
         report = Compactor(
             self._store, max_deltas_per_run=max_deltas
         ).run()
-        if self._pool is not None:
-            self._pool.clear()
-            if report.did_work and self._auto_budget and self._cut:
-                self._build_serving(
-                    self._cut_file_bytes(self._cut)
-                )
+        if report.did_work and self._auto_budget and self._cut:
+            self._build_serving(self._cut_file_bytes(self._cut))
         return ("compacted", self._config.shard_id, report)
 
 
@@ -596,6 +596,9 @@ class ShardedExecutor:
         self._retry_max_attempts = retry_max_attempts
         self._recv_timeout_s = recv_timeout_s
         self._handles: list = []
+        # Shard replies carry no request id, so one command at a time
+        # owns the pipes, from its first send to its last reply.
+        self._pipe_lock = threading.Lock()
         self._prepared = False
         self._appended_rows = 0
         self._last_prepare: dict | None = None
@@ -726,7 +729,7 @@ class ShardedExecutor:
                     durable=self._durable,
                     fault_policy_kwargs=self._fault_policy_kwargs,
                     retry_max_attempts=self._retry_max_attempts,
-                    expected_rows=spec.num_rows,
+                    expected_rows=self._row_hi(spec) - spec.row_lo,
                 )
                 process = context.Process(
                     target=_shard_worker_main,
@@ -744,6 +747,13 @@ class ShardedExecutor:
         except BaseException:
             self.close()
             raise
+
+    def _row_hi(self, spec: ShardSpec) -> int:
+        """A shard's end row: appended rows extend the *last* shard's
+        range, base and delta rows alike."""
+        if spec is self._specs[-1]:
+            return spec.row_hi + self._appended_rows
+        return spec.row_hi
 
     def _require_started(self) -> None:
         if not self._handles:
@@ -802,24 +812,26 @@ class ShardedExecutor:
 
         Any shard failure tears the whole fleet down (close()) before
         re-raising — after a scatter has partially executed there is
-        no consistent state to continue from.
+        no consistent state to continue from.  Callers on other
+        threads wait for the pipes (see :meth:`run`).
         """
-        self._require_started()
-        try:
-            for _spec, _process, conn in self._handles:
-                conn.send(command)
-            return [
-                self._recv(handle, expected_kind)
-                for handle in self._handles
-            ]
-        except ShardError:
-            self.close()
-            raise
-        except (BrokenPipeError, OSError) as exc:
-            self.close()
-            raise ShardFailedError(
-                -1, f"scatter failed: {exc}"
-            ) from exc
+        with self._pipe_lock:
+            self._require_started()
+            try:
+                for _spec, _process, conn in self._handles:
+                    conn.send(command)
+                return [
+                    self._recv(handle, expected_kind)
+                    for handle in self._handles
+                ]
+            except ShardError:
+                self.close()
+                raise
+            except (BrokenPipeError, OSError) as exc:
+                self.close()
+                raise ShardFailedError(
+                    -1, f"scatter failed: {exc}"
+                ) from exc
 
     # ------------------------------------------------------------------
     def prepare(
@@ -890,6 +902,9 @@ class ShardedExecutor:
     ) -> ShardedBatchReport:
         """Scatter a batch to every shard and merge the answers.
 
+        Safe to call from several threads: batches take turns on the
+        shard pipes, and each merges its own replies.
+
         Args:
             queries: the batch (a list or a
                 :class:`~repro.workload.query.Workload`).
@@ -923,16 +938,11 @@ class ShardedExecutor:
                         spec.shard_id,
                         "reply does not match the scattered batch",
                     )
-                # Appended rows extend the *last* shard's range: its
-                # answers span base + delta rows after an ingest.
-                row_hi = spec.row_hi
-                if spec.shard_id == self._specs[-1].shard_id:
-                    row_hi += self._appended_rows
                 shard_reports.append(
                     ShardRunReport(
                         shard_id=shard_id,
                         row_lo=spec.row_lo,
-                        row_hi=row_hi,
+                        row_hi=self._row_hi(spec),
                         outcomes=report.outcomes,
                         pin_io=report.pin_io,
                         io=report.io,
@@ -980,27 +990,28 @@ class ShardedExecutor:
             The last shard's
             :class:`~repro.storage.delta.DeltaAppendResult`.
         """
-        self._require_started()
         if not self._durable:
             raise ShardError(
                 "ingest requires durable=True shard stores (delta "
                 "generations are manifest-committed)"
             )
-        handle = self._handles[-1]
-        spec, _process, conn = handle
-        try:
-            conn.send(("ingest", np.asarray(values)))
-            reply = self._recv(handle, "ingested")
-        except ShardError:
-            self.close()
-            raise
-        except (BrokenPipeError, OSError) as exc:
-            self.close()
-            raise ShardFailedError(
-                spec.shard_id, f"ingest failed: {exc}"
-            ) from exc
-        result = reply[2]
-        self._appended_rows += result.num_rows
+        with self._pipe_lock:
+            self._require_started()
+            handle = self._handles[-1]
+            spec, _process, conn = handle
+            try:
+                conn.send(("ingest", np.asarray(values)))
+                reply = self._recv(handle, "ingested")
+            except ShardError:
+                self.close()
+                raise
+            except (BrokenPipeError, OSError) as exc:
+                self.close()
+                raise ShardFailedError(
+                    spec.shard_id, f"ingest failed: {exc}"
+                ) from exc
+            result = reply[2]
+            self._appended_rows += result.num_rows
         return result
 
     def compact(
@@ -1008,7 +1019,8 @@ class ShardedExecutor:
     ) -> tuple["CompactionReport", ...]:
         """Fold delta generations shard-by-shard: every worker runs
         its own :class:`~repro.storage.compactor.Compactor` against
-        its own store (and drops its pool's stale cached bases).
+        its own store; each pool re-reads the bases the fold replaced
+        when it next uses them.
 
         Args:
             max_deltas_per_run: bound each shard's fold to its oldest
@@ -1136,11 +1148,12 @@ class ShardedExecutor:
         The gateway supervisor's repair hook: a fleet that raised
         :class:`~repro.errors.ShardError` (and tore itself down) is
         rebuilt from its on-disk shard stores with the same cut
-        selection it served before.  Raises
+        selection it served before.  Rows appended via :meth:`ingest`
+        are delta generations (or, after :meth:`compact`, base rows)
+        committed to the last shard's durable store, so the respawned
+        worker reopens them with the rest.  Raises
         :class:`~repro.errors.ShardError` when there is no remembered
-        ``prepare()`` to replay, or when rows were appended via
-        :meth:`ingest` (worker-resident delta generations do not
-        survive a respawn, so a restart would silently lose them).
+        ``prepare()`` to replay.
 
         Returns:
             The replayed per-shard cut selections, in shard order.
@@ -1148,11 +1161,6 @@ class ShardedExecutor:
         if self._last_prepare is None:
             raise ShardError(
                 "restart() needs a previous prepare() to replay"
-            )
-        if self._appended_rows:
-            raise ShardError(
-                f"cannot restart a fleet with {self._appended_rows} "
-                f"ingested rows resident in worker memory"
             )
         remembered = self._last_prepare
         self.close()

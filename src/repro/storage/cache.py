@@ -22,6 +22,13 @@ The pool is **thread-safe** and built for the concurrent serving layer
   one thread performs (and is charged for) the storage read, every
   other requester waits and shares the payload — concurrent IO never
   exceeds what a serial run would have read;
+* every resident copy is stamped with the store file it was read from
+  (:meth:`~repro.storage.filestore.BitmapFileStore.physical_name`) and
+  served only while that is still the store's current file.  A durable
+  store commits every build under new file names, so a copy of a file
+  it replaced (a folded base, a rebuilt index) is a miss: re-read,
+  charged like any read, and replaced in place, keeping its pin when
+  it fits the budget;
 * :meth:`attributing` charges the calling thread's fetches to an extra
   per-query accountant, which is how per-query IO stays exactly
   attributable when many queries share one pool (the sum of per-query
@@ -34,6 +41,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from ..errors import (
     BudgetExceededError,
@@ -48,27 +56,11 @@ from .filestore import BitmapFileStore
 __all__ = ["BufferPool"]
 
 
-def _node_group_key(name: str) -> int | None:
-    """The hierarchy node a cached file name belongs to, if any.
+class _Copy(NamedTuple):
+    """One resident payload and the store file it was read from."""
 
-    Base files (``node_<id>.wah``) and delta files
-    (``delta_<seq>-node_<id>.wah``) of the same node form one
-    *coherence group*: after a compaction folds deltas into a new
-    base, a stale base payload and a stale delta payload are equally
-    poisonous, so :meth:`BufferPool.invalidate` drops the whole group
-    together.  Names outside both schemes group as ``None`` and are
-    invalidated individually.
-    """
-    from .catalog import node_id_from_file_name
-    from .manifest import parse_delta_file_name
-
-    node_id = node_id_from_file_name(name)
-    if node_id is not None:
-        return node_id
-    parsed = parse_delta_file_name(name)
-    if parsed is not None:
-        return parsed[1]
-    return None
+    stamp: str
+    payload: bytes
 
 
 class _Flight:
@@ -91,7 +83,8 @@ class BufferPool:
     """Caches bitmap files read from a :class:`BitmapFileStore`.
 
     Safe for concurrent use by many query workers; see the module
-    docstring for the locking, single-flight, and attribution design.
+    docstring for the locking, single-flight, file-identity, and
+    attribution design.
 
     Args:
         store: the backing file store.
@@ -122,14 +115,16 @@ class BufferPool:
         self._accountant = accountant or IOAccountant()
         self._budget = budget_bytes
         self._retry = retry_policy or DEFAULT_RETRY_POLICY
-        self._pinned: dict[str, bytes] = {}
+        self._pinned: dict[str, _Copy] = {}
         self._pinned_bytes = 0
-        self._lru: dict[str, bytes] = {}
+        self._lru: dict[str, _Copy] = {}
         self._lru_bytes = 0
         # Reentrant: clear() drops both tiers under one critical
         # section by calling unpin_all() with the lock already held.
         self._lock = threading.RLock()
-        self._inflight: dict[str, _Flight] = {}
+        # Keyed by (name, stamp): a fetch of a replaced file never
+        # serves a requester of its successor.
+        self._inflight: dict[tuple[str, str], _Flight] = {}
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -247,23 +242,25 @@ class BufferPool:
         metrics.inc("storage_errors_total")
         raise last_error
 
-    def _join_or_fetch(self, name: str) -> bytes:
+    def _join_or_fetch(self, name: str, stamp: str) -> bytes:
         """Fetch ``name`` with single-flight deduplication.
 
-        The first thread to request a non-resident name becomes the
-        *leader*: it performs the storage read (charged to its
-        attributed accountants) and publishes the payload.  Concurrent
-        requesters wait on the leader's flight and share the result
-        without touching storage — so a burst of misses on one bitmap
-        costs exactly one read.  A leader error propagates to every
-        waiter (the pool already retried transients; re-asking storage
-        immediately would fail the same way).
+        The first thread to request a non-resident copy of the file
+        ``stamp`` becomes the *leader*: it performs the storage read
+        (charged to its attributed accountants) and publishes the
+        payload.  Concurrent requesters of the same file wait on the
+        leader's flight and share the result without touching storage
+        — so a burst of misses on one bitmap costs exactly one read.
+        A leader error propagates to every waiter (the pool already
+        retried transients; re-asking storage immediately would fail
+        the same way).
         """
+        key = (name, stamp)
         with self._lock:
-            flight = self._inflight.get(name)
+            flight = self._inflight.get(key)
             if flight is None:
                 flight = _Flight()
-                self._inflight[name] = flight
+                self._inflight[key] = flight
                 leader = True
             else:
                 leader = False
@@ -279,15 +276,15 @@ class BufferPool:
             payload = self._fetch(name)
         except Exception as err:
             flight.error = err
-            self._retire_flight(name, flight)
+            self._retire_flight(key, flight)
             flight.event.set()
             raise
         flight.payload = payload
-        self._retire_flight(name, flight)
+        self._retire_flight(key, flight)
         flight.event.set()
         return payload
 
-    def _retire_flight(self, name: str, flight: _Flight) -> None:
+    def _retire_flight(self, key: tuple[str, str], flight: _Flight) -> None:
         """Remove a completed flight — only if it is still the one
         registered.
 
@@ -297,8 +294,14 @@ class BufferPool:
         fetch's deduplication.
         """
         with self._lock:
-            if self._inflight.get(name) is flight:
-                del self._inflight[name]
+            if self._inflight.get(key) is flight:
+                del self._inflight[key]
+
+    def _drop_flights(self, name: str) -> None:
+        """Forget every in-flight fetch of ``name`` (caller holds the
+        lock); their leaders still complete for their own waiters."""
+        for key in [key for key in self._inflight if key[0] == name]:
+            del self._inflight[key]
 
     # ------------------------------------------------------------------
     def pin(self, names: Iterable[str]) -> None:
@@ -316,7 +319,9 @@ class BufferPool:
         against the *actual* payload sizes before committing — so
         ``resident_bytes <= budget_bytes`` is an invariant even when a
         stored size disagrees with what the read returns (e.g. a torn
-        read, or a backend whose ``size_bytes`` is an estimate).
+        read, or a backend whose ``size_bytes`` is an estimate).  A
+        name already pinned stays as it is: :meth:`get` re-reads it
+        if the store has replaced its file since.
         """
         with self._lock:
             to_pin = [
@@ -337,37 +342,39 @@ class BufferPool:
         # Stage every payload before touching the resident set, so an
         # error (storage or budget) commits nothing.  Fetches go
         # through the single-flight path: a concurrent pin or get of
-        # the same name shares one storage read.
-        staged: dict[str, bytes] = {}
+        # the same file shares one storage read.
+        staged: dict[str, _Copy] = {}
         for name in to_pin:
+            stamp = self._store.physical_name(name)
             with self._lock:
                 if name in self._pinned:
                     continue  # a concurrent pin() won the race
-                if name in self._lru:
-                    staged[name] = self._lru[name]
+                copy = self._lru.get(name)
+                if copy is not None and copy.stamp == stamp:
+                    staged[name] = copy
                     continue
-            staged[name] = self._join_or_fetch(name)
+            staged[name] = _Copy(stamp, self._join_or_fetch(name, stamp))
         with self._lock:
             fresh = {
-                name: payload
-                for name, payload in staged.items()
+                name: copy
+                for name, copy in staged.items()
                 if name not in self._pinned
             }
             if self._budget is not None:
                 additional = sum(
-                    len(payload) for payload in fresh.values()
+                    len(copy.payload) for copy in fresh.values()
                 )
                 if self._pinned_bytes + additional > self._budget:
                     raise BudgetExceededError(
                         self._pinned_bytes + additional, self._budget
                     )
-            for name, payload in fresh.items():
-                if name in self._lru:
-                    dropped = self._lru.pop(name)
-                    self._lru_bytes -= len(dropped)
-                self._pinned[name] = payload
-                self._pinned_bytes += len(payload)
-                record("cache.pin", name, nbytes=len(payload))
+            for name, copy in fresh.items():
+                dropped = self._lru.pop(name, None)
+                if dropped is not None:
+                    self._lru_bytes -= len(dropped.payload)
+                self._pinned[name] = copy
+                self._pinned_bytes += len(copy.payload)
+                record("cache.pin", name, nbytes=len(copy.payload))
             get_metrics().inc("cache_pins_total", len(fresh))
 
     def unpin_all(self) -> None:
@@ -391,49 +398,70 @@ class BufferPool:
     def get(self, name: str) -> bytes:
         """Fetch a file through the pool.
 
-        Pinned files and LRU-resident files are served from memory;
-        everything else is fetched from storage and charged to the
-        accountant.  Concurrent misses on the same name share one
-        storage read (single-flight); only the thread that performs the
-        read is charged.
+        A resident copy is served from memory while the store still
+        maps ``name`` to the file it was read from; anything else is
+        fetched from storage, charged to the accountant, and kept by
+        :meth:`_install`.  Concurrent misses on the same file share
+        one storage read (single-flight); only the thread that
+        performs the read is charged.
         """
         metrics = get_metrics()
+        stamp = self._store.physical_name(name)
         with self._lock:
-            if name in self._pinned:
-                record("cache.hit", name, tier="pinned")
-                metrics.inc("cache_hits_total", tier="pinned")
-                return self._pinned[name]
-            if name in self._lru:
-                record("cache.hit", name, tier="lru")
-                metrics.inc("cache_hits_total", tier="lru")
-                return self._lru[name]
+            tier = "pinned"
+            copy = self._pinned.get(name)
+            if copy is None:
+                tier = "lru"
+                copy = self._lru.get(name)
+            if copy is not None and copy.stamp == stamp:
+                record("cache.hit", name, tier=tier)
+                metrics.inc("cache_hits_total", tier=tier)
+                return copy.payload
         record("cache.miss", name)
         metrics.inc("cache_misses_total")
-        payload = self._join_or_fetch(name)
+        payload = self._join_or_fetch(name, stamp)
         with self._lock:
-            self._maybe_admit(name, payload)
+            self._install(name, stamp, payload)
         return payload
 
-    def _maybe_admit(self, name: str, payload: bytes) -> None:
-        # Caller holds the lock.  Only an unbounded pool keeps unpinned
-        # reads (Case 1/2); a budgeted one streams them (Case 3).
-        if (
-            self._budget is None
-            and name not in self._pinned
-            and name not in self._lru
-        ):
-            self._lru[name] = payload
-            self._lru_bytes += len(payload)
+    def _install(self, name: str, stamp: str, payload: bytes) -> None:
+        """Keep a payload just read from storage (caller holds the
+        lock).
+
+        A pinned name takes the new copy in place and stays pinned
+        when it fits the budget (a compaction's folded base is larger
+        than the copy it replaces); otherwise it is unpinned.  Any
+        other read is kept in the LRU area only by an unbounded pool
+        (Case 1/2); a budgeted one streams it (Case 3).
+        """
+        size = len(payload)
+        budget = self._budget
+        pinned = self._pinned.pop(name, None)
+        if pinned is not None:
+            self._pinned_bytes -= len(pinned.payload)
+            if budget is None or self._pinned_bytes + size <= budget:
+                self._pinned[name] = _Copy(stamp, payload)
+                self._pinned_bytes += size
+                return
+            record("cache.invalidate", name, tier="pinned")
+            get_metrics().inc("cache_invalidations_total", tier="pinned")
+        if budget is None:
+            dropped = self._lru.pop(name, None)
+            if dropped is not None:
+                self._lru_bytes -= len(dropped.payload)
+            self._lru[name] = _Copy(stamp, payload)
+            self._lru_bytes += size
 
     def invalidate(self, name: str) -> bool:
         """Drop a cached copy (pinned or LRU); returns whether it was
         pinned.
 
         Used when a resident payload turns out to be corrupt — the next
-        :meth:`get` re-fetches from storage.  Each actual drop counts
-        toward ``cache_invalidations_total`` (labelled by tier) so
-        EXPLAIN ANALYZE's warm/cold classification stays truthful after
-        corruption recovery.
+        :meth:`get` re-fetches from storage — and to release the files
+        of a delta generation a compaction retired.  Each actual drop
+        counts toward ``cache_invalidations_total`` (labelled by tier)
+        so EXPLAIN ANALYZE's warm/cold classification stays truthful
+        after corruption recovery.
 
         Any in-flight single-flight fetch of the name is also
         forgotten: when a scrubber quarantines a file, a concurrent
@@ -441,78 +469,38 @@ class BufferPool:
         requesters must not join that flight and inherit them.  The
         abandoned leader still completes (its waiters get its result),
         but it no longer publishes into the pool's dedup table.
-
-        Invalidation is *node-coherent*: dropping a node's base
-        payload also drops any resident delta payloads of the same
-        node (and vice versa), along with their in-flight fetches.
-        After a compaction replaces base + deltas with a new base in
-        one atomic commit, there is no sequence of per-name
-        invalidations that could otherwise prevent a reader from
-        pairing the fresh base with a stale cached delta.  The return
-        value reports the *named* entry's pinned status only.
         """
         metrics = get_metrics()
         with self._lock:
-            targets = [name]
-            group = _node_group_key(name)
-            if group is not None:
-                targets.extend(
-                    other
-                    for other in (
-                        set(self._pinned)
-                        | set(self._lru)
-                        | set(self._inflight)
-                    )
-                    if other != name
-                    and _node_group_key(other) == group
-                )
-            was_pinned = False
-            for target in targets:
-                self._inflight.pop(target, None)
-                if target in self._pinned:
-                    payload = self._pinned.pop(target)
-                    self._pinned_bytes -= len(payload)
-                    if target == name:
-                        was_pinned = True
-                    record(
-                        "cache.invalidate", target, tier="pinned"
-                    )
-                    metrics.inc(
-                        "cache_invalidations_total", tier="pinned"
-                    )
-                elif target in self._lru:
-                    payload = self._lru.pop(target)
-                    self._lru_bytes -= len(payload)
-                    record("cache.invalidate", target, tier="lru")
-                    metrics.inc(
-                        "cache_invalidations_total", tier="lru"
-                    )
-            return was_pinned
+            self._drop_flights(name)
+            if name in self._pinned:
+                self._pinned_bytes -= len(self._pinned.pop(name).payload)
+                record("cache.invalidate", name, tier="pinned")
+                metrics.inc("cache_invalidations_total", tier="pinned")
+                return True
+            if name in self._lru:
+                self._lru_bytes -= len(self._lru.pop(name).payload)
+                record("cache.invalidate", name, tier="lru")
+                metrics.inc("cache_invalidations_total", tier="lru")
+            return False
 
     def reload(self, name: str) -> bytes:
         """Force a fresh fetch from storage, replacing any cached copy.
 
-        A previously pinned file stays pinned with the new payload
-        when that fits the budget (a compaction's folded base is
-        larger than the copy it replaces); otherwise, and for an
-        unpinned file, it is admitted under the normal policy.  The
-        fetch is charged to the accountant like any storage read.
-        Deliberately *not* single-flight deduplicated: a reload exists
-        to replace a payload that just failed validation, so it must
-        not be satisfied by an in-flight read that may be the same
-        stale bytes.
+        The new payload is kept under :meth:`_install`'s rules, so a
+        pinned file stays pinned when it fits the budget.  The fetch
+        is charged to the accountant like any storage read.
+        Deliberately *not* single-flight deduplicated, and it forgets
+        every in-flight fetch of the name: a reload exists to replace
+        a payload that just failed validation, so it must not be
+        satisfied by an in-flight read that may be the same bad bytes.
         """
-        was_pinned = self.invalidate(name)
+        stamp = self._store.physical_name(name)
+        with self._lock:
+            self._drop_flights(name)
         payload = self._fetch(name)
         with self._lock:
-            if was_pinned and (
-                self._budget is None
-                or self._pinned_bytes + len(payload) <= self._budget
-            ):
-                self._pinned[name] = payload
-                self._pinned_bytes += len(payload)
-            else:
-                self._maybe_admit(name, payload)
+            self._install(name, stamp, payload)
         return payload
 
     def contains(self, name: str) -> bool:

@@ -206,6 +206,11 @@ class BitmapFileStore:
             payload = self._fault_policy.filter_read(name, payload)
         return payload
 
+    def physical_name(self, name: str) -> str:
+        """The file a read of ``name`` returns now: here the name itself
+        (a write over a name keeps its identity)."""
+        return name
+
     def size_bytes(self, name: str) -> int:
         """Size of a bitmap file, in bytes.
 

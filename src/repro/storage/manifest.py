@@ -1146,6 +1146,12 @@ class DurableBitmapStore(BitmapFileStore):
         entry = self._manifest.entry(name)
         return super().read(entry.physical)
 
+    def physical_name(self, name: str) -> str:
+        """The generation-prefixed file the manifest maps a logical
+        name to; no two builds share one (raises
+        :class:`~repro.errors.FileMissingError` when absent)."""
+        return self._manifest.entry(name).physical
+
     def size_bytes(self, name: str) -> int:
         """Size of a logical file, as recorded by the manifest."""
         return self._manifest.entry(name).size

@@ -211,13 +211,14 @@ class TestSequentialKillReAdmission:
                     for fragment in ("seconds", "wall", "time")
                 )
 
-    def test_restart_refuses_to_drop_worker_resident_rows(
-        self, tmp_path
-    ):
-        """A fleet holding appended (worker-resident) delta rows
-        refuses to restart — a rebuild from the shard stores would
-        silently lose them — and the refusal is typed."""
-        from repro.errors import ShardError
+    @staticmethod
+    def _restart_after_ingest(tmp_path, compact: bool) -> None:
+        """A durable 2-shard fleet ingests 300 rows (then folds them
+        into the base when ``compact``), restarts, and answers every
+        query over all 5,300 rows: appended rows are committed to the
+        last shard's store, which the respawned worker reopens."""
+        import numpy as np
+
         from repro.hierarchy.tree import Hierarchy
 
         hierarchy = Hierarchy.from_nested([[3, 3], [2, 4], [4]])
@@ -225,16 +226,35 @@ class TestSequentialKillReAdmission:
             hierarchy.num_leaves, seed=3
         )
         column = sample_column(
-            probabilities, num_rows=4_000, seed=11
+            probabilities, num_rows=5_300, seed=11
         )
         executor = ShardedExecutor.build(
-            hierarchy, column, 1, tmp_path, durable=True
+            hierarchy, column[:5_000], NUM_SHARDS, tmp_path,
+            durable=True,
         )
         try:
             executor.start()
             executor.prepare(Workload(QUERIES))
-            executor.ingest([0, 1, 2, 3])
-            with pytest.raises(ShardError):
-                executor.restart()
+            executor.ingest(column[5_000:])
+            if compact:
+                executor.compact()
+            executor.restart()
+            report = executor.run(QUERIES)
         finally:
             executor.close()
+        assert executor.num_rows == 5_300
+        assert report.reconciles()
+        for query, outcome in zip(QUERIES, report.outcomes):
+            assert outcome.result.answer == scan_answer(
+                np.asarray(column), query
+            )
+
+    def test_restart_after_ingest(
+        self, tmp_path
+    ):
+        self._restart_after_ingest(tmp_path, compact=False)
+
+    def test_restart_after_ingest_compact(
+        self, tmp_path
+    ):
+        self._restart_after_ingest(tmp_path, compact=True)

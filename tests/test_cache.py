@@ -263,6 +263,70 @@ class TestInvalidationObservability:
         assert metrics.counter("cache_invalidations_total") == 0
 
 
+class TestFileIdentity:
+    """A copy is served only while its file is the store's current
+    one; a durable store commits every write under a new file."""
+
+    def test_pinned_file_replaced_is_reread_once_and_stays_pinned(
+        self, tmp_path
+    ):
+        from repro.storage.manifest import DurableBitmapStore
+
+        store = DurableBitmapStore(tmp_path / "store")
+        store.write("f", b"x" * 10)
+        pool = BufferPool(store, budget_bytes=16)
+        pool.pin(["f"])
+        old_file = store.manifest.entry("f").physical
+        store.write("f", b"y" * 12)
+        assert store.manifest.entry("f").physical != old_file
+
+        assert pool.get("f") == b"y" * 12
+        assert pool.get("f") == b"y" * 12
+        assert pool.accountant.reads_by_name["f"] == 2  # pin + re-read
+        assert pool.cached_names == {"f"}
+        assert pool.pinned_bytes == 12
+        assert pool.lru_bytes == 0
+
+    def test_pinned_file_replaced_too_large_is_unpinned_and_streamed(
+        self, tmp_path
+    ):
+        from repro.storage.manifest import DurableBitmapStore
+
+        store = DurableBitmapStore(tmp_path / "store")
+        store.write("f", b"x" * 10)
+        pool = BufferPool(store, budget_bytes=16)
+        pool.pin(["f"])
+        store.write("f", b"z" * 20)
+
+        with collecting_metrics() as metrics:
+            assert pool.get("f") == b"z" * 20
+            assert pool.get("f") == b"z" * 20
+        assert pool.accountant.reads_by_name["f"] == 3  # streamed twice
+        assert not pool.contains("f")
+        assert pool.resident_bytes == 0
+        assert (
+            metrics.counter("cache_invalidations_total", tier="pinned")
+            == 1
+        )
+
+    def test_lru_copy_of_a_replaced_file_is_replaced_in_place(
+        self, tmp_path
+    ):
+        from repro.storage.manifest import DurableBitmapStore
+
+        store = DurableBitmapStore(tmp_path / "store")
+        store.write("f", b"x" * 10)
+        pool = BufferPool(store)
+        pool.get("f")
+        store.write("f", b"y" * 7)
+
+        assert pool.get("f") == b"y" * 7
+        assert pool.lru_bytes == pool.resident_bytes == 7
+        pool.pin(["f"])  # the current copy is promoted, not re-read
+        assert pool.accountant.reads_by_name["f"] == 2
+        assert pool.pinned_bytes == 7
+
+
 class TestMisc:
     def test_custom_accountant(self, store):
         accountant = IOAccountant()

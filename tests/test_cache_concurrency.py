@@ -152,11 +152,11 @@ class TestSingleFlight:
         # Both flights retired; the dedup table is empty again.
         assert pool._inflight == {}
 
-    def test_invalidate_drops_whole_node_group_and_its_flight(self):
-        """Regression: invalidating a node whose base *and* delta
-        payloads are resident drops both tiers' copies and any
-        in-flight fetch of a group member — compaction must never
-        leave a reader able to pair a fresh base with a stale delta.
+    def test_invalidate_drops_one_name_and_its_flight(self):
+        """invalidate() drops the named copy, from either tier, and
+        any in-flight fetch of it — and nothing else: the pool serves
+        only the store's current file, so a node's other copies need
+        no group drop.
         """
         from repro.storage.manifest import delta_file_name
 
@@ -186,11 +186,15 @@ class TestSingleFlight:
                 assert store.entered.wait(timeout=10)
                 calls_before = store.read_calls
 
-                pool.invalidate(base)
+                assert pool.invalidate(delta_two) is False
+                assert pool.contains(base)
+                assert pool.contains(delta_one)
+                assert pool.invalidate(base) is True
+                assert pool.invalidate(delta_one) is False
 
                 assert not pool.contains(base)
                 assert not pool.contains(delta_one)
-                assert pool.contains(bystander)  # different node
+                assert pool.contains(bystander)
                 assert pool.pinned_bytes == 0
                 # The parked flight was abandoned: a new requester
                 # becomes a fresh leader instead of joining it.
@@ -213,7 +217,7 @@ class TestSingleFlight:
             == 1
         )
 
-    def test_invalidating_a_delta_name_drops_the_base_too(self):
+    def test_invalidating_a_delta_name_keeps_the_base(self):
         from repro.storage.manifest import delta_file_name
 
         base = "node_2.wah"
@@ -225,8 +229,9 @@ class TestSingleFlight:
         pool.get(base)
         pool.get(delta)
         pool.invalidate(delta)
-        assert not pool.contains(base)
+        assert pool.contains(base)
         assert not pool.contains(delta)
+        assert pool.resident_bytes == 50
 
 
 class TestBudgetInvariantProperty:

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.executor import QueryExecutor
+from repro.core.executor import QueryExecutor, scan_answer
 from repro.errors import StorageError
 from repro.hierarchy.tree import Hierarchy, paper_hierarchy
 from repro.storage.accounting import IOAccountant
@@ -127,14 +127,14 @@ def test_queries_identical_across_the_fold(tmp_path, hierarchy):
 
     Compactor(store).run()
 
-    # Same executor, same pool: each cached pre-fold base disagrees
-    # with the fresh snapshot and is reloaded in place.
+    # Same executor, same pool: each cached pre-fold base is a copy of
+    # a file the fold replaced, so the pool re-reads it.
     after = [executor.execute_query(q).answer for q in queries]
     assert all(a == b for a, b in zip(after, before))
 
 
 def test_fold_keeps_a_budgeted_cut_pinned(tmp_path):
-    """A cut member made stale by a fold is reloaded in place and stays
+    """A cut member made stale by a fold is re-read in place and stays
     pinned.  It used to be unpinned, and a budgeted pool with no spare
     LRU then streamed it on every later query while plans still
     counted it as cached."""
@@ -174,6 +174,87 @@ def test_fold_keeps_a_budgeted_cut_pinned(tmp_path):
         result = executor.execute_query(query, cut, node_is_cached=True)
         assert result.io_bytes == expected.io_bytes
         assert result.answer == expected.answer
+
+
+def _warm_paper_store(tmp_path, appends=0):
+    """A 5,000-row durable store on ``paper_hierarchy(20)`` with
+    ``appends`` 100-row delta generations, and a warm unbounded
+    executor over it (one query has read every file it needs)."""
+    hierarchy = paper_hierarchy(20)
+    rng = np.random.default_rng(8)
+    store = DurableBitmapStore(tmp_path / "store")
+    column = rng.integers(0, 20, size=5_000)
+    MaterializedNodeCatalog(hierarchy, column, store)
+    for _ in range(appends):
+        batch = rng.integers(0, 20, size=100)
+        DeltaAppender(store, hierarchy).append(batch)
+        column = np.concatenate([column, batch])
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+    executor = QueryExecutor(catalog, BufferPool(store))
+    query = RangeQuery([(0, 7)])
+    assert executor.execute_query(query).answer == scan_answer(
+        column, query
+    )
+    return store, column, executor, query
+
+
+@pytest.mark.ingest
+def test_warm_executor_answers_a_same_size_rebuild(tmp_path):
+    """A rebuild in place with as many rows commits new base files, so
+    the warm pool re-reads them; it used to answer from the old
+    index, whose widths still matched the manifest."""
+    store, column, executor, query = _warm_paper_store(tmp_path)
+    other = np.random.default_rng(9).integers(0, 20, size=column.size)
+    MaterializedNodeCatalog(paper_hierarchy(20), other, store)
+
+    result = executor.execute_query(query)
+
+    assert result.answer == scan_answer(other, query)
+    assert result.answer != scan_answer(column, query)
+
+
+@pytest.mark.ingest
+def test_bounded_fold_rereads_only_the_folded_bases(tmp_path):
+    """After a fold of the oldest delta, the next query reads the
+    folded base files and nothing else: the live deltas it holds are
+    still the store's files.  It used to re-read them too (24 reads
+    where 8 are needed)."""
+    store, column, executor, query = _warm_paper_store(
+        tmp_path, appends=3
+    )
+    first_reads = executor.pool.accountant.snapshot().reads_by_name
+    bases = {name for name in first_reads if name.startswith("node_")}
+    Compactor(store, max_deltas_per_run=1).run()
+    assert [delta.seq for delta in store.delta_manifests] == [2, 3]
+    before = executor.pool.accountant.snapshot()
+
+    result = executor.execute_query(query)
+
+    reads = executor.pool.accountant.diff_since(before).reads_by_name
+    assert result.answer == scan_answer(column, query)
+    assert reads == {name: 1 for name in bases}
+    assert len(reads) == 8
+
+
+@pytest.mark.ingest
+def test_fold_releases_retired_delta_payloads(tmp_path):
+    """An unbounded pool drops the payloads of the delta generations a
+    fold retired once a query sees the fold; it used to keep them
+    until a query re-read the same node's base."""
+    store, column, executor, _query = _warm_paper_store(
+        tmp_path, appends=3
+    )
+    assert any(
+        name.startswith("delta_") for name in executor.pool.cached_names
+    )
+    Compactor(store).run()
+    # Other nodes than the warm query's: none of its bases is re-read.
+    query = RangeQuery([(12, 19)])
+
+    result = executor.execute_query(query)
+
+    assert result.answer == scan_answer(column, query)
+    assert executor.pool.cached_names <= set(store.names())
 
 
 def test_non_node_entries_are_carried_forward(tmp_path, hierarchy):

@@ -428,7 +428,7 @@ class TestFailover:
         )
 
     def test_any_backend_exception_fails_the_attempt_over(self):
-        """An attempt fails whenever ``serve_batch`` raises, not only
+        """An attempt fails whenever ``run_batch`` raises, not only
         with a ``ShardError``: the batch fails over and the error type
         is traced (regression: other exceptions escaped the dispatch
         task and left the batch's clients waiting forever)."""

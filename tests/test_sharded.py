@@ -339,3 +339,60 @@ class TestShardFailure:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.shard_id == 2
         assert str(clone) == str(error)
+
+
+class TestConcurrentCallers:
+    def test_two_threads_sharing_a_fleet_get_their_own_answers(
+        self, tmp_path
+    ):
+        """Shard replies carry no request id, so the executor gives
+        each batch the pipes from first send to last reply.  Without
+        that, two threads swapped replies: unpickling errors, failed
+        shards and answers of the other thread's queries."""
+        import threading
+
+        import numpy as np
+
+        from repro.hierarchy.tree import paper_hierarchy
+
+        hierarchy = paper_hierarchy(20)
+        column = np.random.default_rng(4).integers(0, 20, size=20_000)
+        batches = [
+            [
+                RangeQuery([(lo, lo + width)])
+                for lo, width in zip(range(seed, seed + 7), range(7))
+            ]
+            for seed in (0, 6)
+        ]
+        oracle = {
+            query: scan_answer(column, query)
+            for batch in batches
+            for query in batch
+        }
+        executor = ShardedExecutor.build(hierarchy, column, 2, tmp_path)
+        failures: list[Exception] = []
+        wrong: list[RangeQuery] = []
+
+        def serve(batch) -> None:
+            try:
+                for _round in range(20):
+                    report = executor.run(batch)
+                    for query, outcome in zip(batch, report.outcomes):
+                        if outcome.result.answer != oracle[query]:
+                            wrong.append(query)
+            except Exception as error:  # surfaced below
+                failures.append(error)
+
+        with executor:
+            executor.prepare(Workload(batches[0] + batches[1]))
+            threads = [
+                threading.Thread(target=serve, args=(batch,))
+                for batch in batches
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert wrong == []
