@@ -94,8 +94,9 @@ def reconcile_exactly(
 
     Checked counter by counter — useful bytes/reads *and* the fault
     path (retries, discarded bytes/count) — so misattributed waste
-    cannot hide behind balanced byte tallies.  Shared by the thread
-    batch report and the per-shard reports of the sharded path.
+    cannot hide behind balanced byte tallies.  Behind
+    :meth:`BatchReport.reconciles`, so also behind each sharded
+    path's per-shard report.
     """
     snapshots = list(per_query)
     return all(
@@ -155,6 +156,11 @@ class BatchReport:
         workers: thread count the batch actually ran with — clamped to
             the batch size, and 1 when the run degenerated to the
             serial loop (batches of ≤ 1 query).
+
+    The sharded path's :class:`~repro.serve.sharded.ShardRunReport`
+    and :class:`~repro.serve.sharded.ShardedBatchReport` are
+    subclasses, so every serving tier reports through these fields
+    and properties.
     """
 
     outcomes: tuple[QueryOutcome, ...]

@@ -45,21 +45,22 @@ front-end the ROADMAP asks for:
   SUSPECTED → PROBATION → ACTIVE | DEAD``).  A replica is *suspected*
   (out of rotation) when an attempt on it fails, it fails a health
   scan, or its rolling circuit breaker opens; a background supervisor
-  then revives the backend and re-admits it once a deterministic
-  canary query answers bit-identical to a healthy peer, with seeded
-  exponential backoff between probes.  Replicas only die for good
-  when the probe budget is exhausted (or re-admission is disabled
-  with ``max_probe_attempts=0``).
+  then revives the backend and re-admits it once it answers the
+  canary — the newest query the gateway answered — bit-identical to
+  the answer the gateway delivered, with seeded exponential backoff
+  between probes.  Replicas only die for good when the probe budget
+  is exhausted (or re-admission is disabled with
+  ``max_probe_attempts=0``).
 * **Bounded history.**  Batch records keep the newest
   :data:`HISTORY_LIMIT` entries; the trace keeps its first
   :data:`HISTORY_LIMIT` events and counts the rest as dropped.
 
 Determinism discipline: gateway *trace events* carry no wall-clock
 data (latencies go to metrics), the supervisor's probe schedule draws
-from a seeded RNG, and answers are whatever the backend produced —
-bit-identical to the serial oracle by the serving tier's own
-contracts, which is also what makes failover and canary re-admission
-provably safe.
+from an RNG with a fixed seed, and answers are whatever the backend
+produced — bit-identical to the serial oracle by the serving tier's
+own contracts, which is also what makes failover and canary
+re-admission provably safe.
 """
 
 from __future__ import annotations
@@ -142,14 +143,13 @@ class GatewayConfig:
             probe; doubles per failed probe.
         probe_backoff_max_s: cap on the un-jittered probe delay.
         probe_jitter: fractional jitter on probe delays, drawn from
-            the seeded supervisor RNG (deterministic per seed).
+            the supervisor's RNG (fixed seed, so deterministic).
         supervisor_interval_s: how often the supervisor scans replica
             health and checks for due probes.
-        supervisor_seed: seed for the supervisor's backoff RNG.
-        canary_query: query replayed to a probed replica before
-            re-admission; its answer must be bit-identical to a
-            healthy peer's.  ``None`` uses the most recent
-            successfully-served query as the canary.
+
+    The re-admission canary is not configured: it is the most recent
+    successfully-served query, replayed to a probed replica, whose
+    answer must be bit-identical to the one the gateway delivered.
     """
 
     max_batch_size: int = 16
@@ -166,8 +166,6 @@ class GatewayConfig:
     probe_backoff_max_s: float = 2.0
     probe_jitter: float = 0.1
     supervisor_interval_s: float = 0.05
-    supervisor_seed: int = 0
-    canary_query: RangeQuery | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -602,7 +600,7 @@ class Gateway:
         }
         if len(self._slots) != len(self._replicas):
             raise ValueError("replica ids must be unique")
-        self._rng = random.Random(self._config.supervisor_seed)
+        self._rng = random.Random(0)
         self._next_replica = 0
         self._trace = TraceCollector(limit=HISTORY_LIMIT)
         self._metrics = _MirroredMetrics()
@@ -610,6 +608,7 @@ class Gateway:
             maxlen=HISTORY_LIMIT
         )
         self._batch_counter = 0
+        # The newest answered (query, answer): the re-admission canary.
         self._canary_ref: tuple[RangeQuery, WahBitmap] | None = None
 
     # ------------------------------------------------------------------
@@ -1095,9 +1094,9 @@ class Gateway:
         report: Any,
         failures: list[tuple[int, str, str]],
     ) -> bool:
-        """Record an answered batch and fold its per-query outcomes
-        into the replica's breaker window; returns whether that
-        breaker just opened."""
+        """Record an answered batch, fold its per-query outcomes
+        into the replica's breaker window and make its newest answer
+        the canary; returns whether that breaker just opened."""
         config = self._config
         with self._lock:
             record = GatewayBatchRecord(
@@ -1123,11 +1122,7 @@ class Gateway:
             for query, outcome in zip(queries, report.outcomes):
                 ok = outcome.error is None
                 slot.outcomes.append(ok)
-                if (
-                    ok
-                    and outcome.result is not None
-                    and self._canary_ref is None
-                ):
+                if ok:
                     self._canary_ref = (query, outcome.result.answer)
             failed = slot.outcomes.count(False)
             tripped = (
@@ -1309,70 +1304,28 @@ class Gateway:
         else:
             metrics.inc("gateway_probes_total", outcome="retry")
 
-    def _canary_expectation(
-        self,
-    ) -> tuple[RangeQuery, WahBitmap | None] | None:
-        """The canary query and (when known) its expected answer.
-        ``None`` when no canary is available yet."""
-        with self._lock:
-            configured = self._config.canary_query
-            ref = self._canary_ref
-        if configured is not None:
-            if ref is not None and ref[0] == configured:
-                return configured, ref[1]
-            return configured, None
-        if ref is not None:
-            return ref
-        return None
-
-    def _active_peer(self, exclude: int) -> Replica | None:
-        """An ``ACTIVE`` replica other than ``exclude`` (canary
-        reference source), or ``None``."""
-        with self._lock:
-            for slot in self._iter_slots():
-                if (
-                    slot.state is ReplicaState.ACTIVE
-                    and slot.replica.replica_id != exclude
-                ):
-                    return slot.replica
-        return None
-
     def _probe_replica_sync(self, replica: Replica) -> bool:
         """Revive a replica's backend and canary-check it (runs on a
         dispatch thread).
 
-        The canary answer must be bit-identical to the expected answer
-        — recorded from live traffic, or replayed on a healthy peer.
-        With no reference available (no traffic served yet and no
-        peer), a clean canary run is accepted.
+        The canary is the newest query the gateway answered; the
+        replica's answer must be bit-identical to the one delivered.
+        Before the gateway has answered any query there is no canary,
+        and a revived, healthy replica is accepted.
         """
         try:
-            if not replica.revive():
+            if not replica.revive() or not replica.is_healthy():
                 return False
-            if not replica.is_healthy():
-                return False
-            canary = self._canary_expectation()
+            with self._lock:
+                canary = self._canary_ref
             if canary is None:
                 return True
             query, expected = canary
-            report = replica.run_batch((query,))
-            outcome = report.outcomes[0]
-            if outcome.error is not None or outcome.result is None:
-                return False
-            if expected is None:
-                peer = self._active_peer(exclude=replica.replica_id)
-                if peer is None:
-                    return True
-                peer_report = peer.run_batch((query,))
-                peer_outcome = peer_report.outcomes[0]
-                if (
-                    peer_outcome.error is not None
-                    or peer_outcome.result is None
-                ):
-                    # The peer's trouble is not the candidate's fault.
-                    return True
-                expected = peer_outcome.result.answer
-            return outcome.result.answer == expected
+            outcome = replica.run_batch((query,)).outcomes[0]
+            return (
+                outcome.error is None
+                and outcome.result.answer == expected
+            )
         except Exception:
             return False
 

@@ -51,8 +51,9 @@ class ReplicaState(str, Enum):
       tripped its circuit breaker.  Out of rotation; the supervisor
       will probe it after a seeded exponential backoff.
     * ``PROBATION`` — a probe is in flight: the supervisor revives the
-      backend and replays a deterministic canary query, checking the
-      answer bit-identical against a healthy peer's.
+      backend and replays the canary (the newest query the gateway
+      answered), checking the answer bit-identical against the one the
+      gateway delivered.
     * ``DEAD`` — the probe budget (``max_probe_attempts``) is
       exhausted (or re-admission is disabled); the replica is never
       routed to again.
@@ -78,9 +79,8 @@ def probe_backoff(
         min(max_s, base_s * 2**attempt) * (1 + jitter * rng.random())
 
     The jitter draws from the supervisor's own
-    :class:`random.Random` (seeded from ``GatewayConfig.
-    supervisor_seed``), so two runs with the same seed probe at the
-    same offsets — chaos tests can replay the healing schedule.
+    :class:`random.Random`, whose seed is fixed, so two runs probe at
+    the same offsets — chaos tests can replay the healing schedule.
 
     Args:
         attempt: probes already failed for this replica (0 for the

@@ -51,17 +51,11 @@ from ..hierarchy.serialization import (
     hierarchy_to_dict,
 )
 from ..hierarchy.tree import Hierarchy
-from ..obs import TraceEvent
 from ..storage.accounting import IOSnapshot
 from ..workload.query import RangeQuery, Workload
-from .batch import (
-    QueryOutcome,
-    merge_event_streams,
-    reconcile_exactly,
-)
+from .batch import BatchReport, QueryOutcome, merge_event_streams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.executor import ExecutionResult
     from ..storage.compactor import CompactionReport
     from ..storage.delta import DeltaAppendResult
 
@@ -401,25 +395,22 @@ def _shard_worker_main(conn, config: _WorkerConfig) -> None:
     conn.close()
 
 
-@dataclass(frozen=True)
-class ShardRunReport:
-    """One shard's view of a batch, reconstructed parent-side.
+@dataclass(frozen=True, kw_only=True)
+class ShardRunReport(BatchReport):
+    """One shard's :class:`~repro.serve.batch.BatchReport`, shipped
+    over the result pipe and tagged parent-side with the shard's
+    identity.
 
-    Everything here crossed the result pipe from the worker process:
-    per-query outcomes (shard-local answers over the shard's rows),
-    the shard's pin-phase and total accountant deltas, and the
-    resident-set size of its budgeted pool.
+    The inherited fields are the worker's own report: outcomes are
+    shard-local answers over ``row_hi - row_lo`` bits, ``pin_io`` and
+    ``io`` the shard accountant's deltas, ``wall_seconds`` the shard's
+    local batch wall clock, and :meth:`reconciles` checks
+    ``io == pin_io + Σ per-query io`` on every counter.
 
     Attributes:
         shard_id: which shard produced the report.
         row_lo: the shard's first global row (inclusive).
         row_hi: end of the shard's global row range (exclusive).
-        outcomes: the shard's per-query outcomes in query order
-            (answers are bitmaps over ``row_hi - row_lo`` bits).
-        pin_io: the shard accountant's delta for its pin phase.
-        io: the shard accountant's delta for the whole batch.
-        wall_seconds: the shard's local batch wall clock.
-        workers: threads the shard's batch actually used.
         resident_bytes: the shard pool's resident bytes after the run
             (must stay within the shard's budget slice).
     """
@@ -427,82 +418,33 @@ class ShardRunReport:
     shard_id: int
     row_lo: int
     row_hi: int
-    outcomes: tuple[QueryOutcome, ...]
-    pin_io: IOSnapshot
-    io: IOSnapshot
-    wall_seconds: float
-    workers: int
     resident_bytes: int
 
-    def reconciles(self) -> bool:
-        """Whether this shard's shipped snapshots balance exactly:
-        ``io == pin_io + Σ per-query io`` on every counter."""
-        return reconcile_exactly(
-            self.pin_io,
-            (outcome.io for outcome in self.outcomes),
-            self.io,
-        )
 
+@dataclass(frozen=True, kw_only=True)
+class ShardedBatchReport(BatchReport):
+    """A scatter-gather batch: a :class:`~repro.serve.batch.
+    BatchReport` over merged outcomes, plus the per-shard reports.
 
-@dataclass(frozen=True)
-class ShardedBatchReport:
-    """A scatter-gather batch: merged outcomes plus per-shard reports.
+    The inherited fields describe the merged batch: outcomes are
+    full-width answers (per-shard answers concatenated by row offset)
+    with per-shard-summed IO and the query-major/shard-major event
+    merge, ``pin_io`` and ``io`` are the shards' sums,
+    ``wall_seconds`` is the parent-side scatter→gather wall clock and
+    ``workers`` the worker threads across shards.
 
     Attributes:
-        outcomes: merged per-query outcomes in query order — answers
-            are full-width bitmaps (per-shard answers concatenated by
-            row offset), IO snapshots are per-shard sums, events are
-            the deterministic query-major/shard-major merge.
         shard_reports: the per-shard views, in shard order.
-        pin_io: sum of the shards' pin-phase deltas.
-        io: sum of the shards' total deltas.
-        wall_seconds: parent-side scatter→gather wall clock.
-        workers: total worker threads across shards.
         num_rows: total rows across shards (the merged answers' width).
     """
 
-    outcomes: tuple[QueryOutcome, ...]
     shard_reports: tuple[ShardRunReport, ...]
-    pin_io: IOSnapshot
-    io: IOSnapshot
-    wall_seconds: float
-    workers: int
     num_rows: int
 
     @property
     def num_shards(self) -> int:
         """How many shards served the batch."""
         return len(self.shard_reports)
-
-    @property
-    def results(self) -> tuple["ExecutionResult", ...]:
-        """Merged execution results in query order; raises the first
-        failed outcome's :class:`~repro.errors.QueryFailedError`."""
-        for outcome in self.outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-        return tuple(outcome.result for outcome in self.outcomes)
-
-    @property
-    def errors(self) -> tuple[QueryFailedError, ...]:
-        """Failed merged outcomes' errors, in query order."""
-        return tuple(
-            outcome.error
-            for outcome in self.outcomes
-            if outcome.error is not None
-        )
-
-    @property
-    def ok(self) -> bool:
-        """Whether every query succeeded on every shard."""
-        return not self.errors
-
-    @property
-    def attributed_bytes(self) -> int:
-        """Total bytes charged to individual (merged) queries."""
-        return sum(
-            outcome.io.bytes_read for outcome in self.outcomes
-        )
 
     def reconciles(self) -> bool:
         """Whether IO reconciles byte-exactly across the process
@@ -522,14 +464,6 @@ class ShardedBatchReport:
                 report.pin_io for report in self.shard_reports
             )
             == self.pin_io
-        )
-
-    def merged_events(self) -> tuple[TraceEvent, ...]:
-        """One deterministic stream: merged per-query streams (already
-        shard-major within each query) concatenated in query order and
-        re-sequenced densely."""
-        return merge_event_streams(
-            outcome.events for outcome in self.outcomes
         )
 
 
@@ -668,17 +602,6 @@ class ShardedExecutor:
     def num_rows(self) -> int:
         """Total rows across shards, ingested appends included."""
         return self._specs[-1].row_hi + self._appended_rows
-
-    @property
-    def appended_rows(self) -> int:
-        """Rows appended via :meth:`ingest` since the fleet started
-        (all owned by the last shard — appends extend its range)."""
-        return self._appended_rows
-
-    @property
-    def total_workers(self) -> int:
-        """Worker threads across all shard processes."""
-        return self.num_shards * self._threads
 
     @property
     def worker_processes(self) -> tuple:
@@ -940,14 +863,10 @@ class ShardedExecutor:
                     )
                 shard_reports.append(
                     ShardRunReport(
+                        **vars(report),
                         shard_id=shard_id,
                         row_lo=spec.row_lo,
                         row_hi=self._row_hi(spec),
-                        outcomes=report.outcomes,
-                        pin_io=report.pin_io,
-                        io=report.io,
-                        wall_seconds=report.wall_seconds,
-                        workers=report.workers,
                         resident_bytes=resident_bytes,
                     )
                 )

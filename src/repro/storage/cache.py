@@ -43,11 +43,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from ..errors import (
-    BudgetExceededError,
-    StorageError,
-    TransientStorageError,
-)
+from ..errors import BudgetExceededError, TransientStorageError
 from ..obs import get_metrics, record
 from .accounting import IOAccountant
 from .faults import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -526,17 +522,6 @@ class BufferPool:
                 )
             self._lru.clear()
             self._lru_bytes = 0
-
-    def verify_store_has(self, names: Iterable[str]) -> None:
-        """Raise :class:`StorageError` unless every name exists."""
-        missing = [
-            name for name in names if not self._store.exists(name)
-        ]
-        if missing:
-            raise StorageError(
-                f"bitmap files missing from store: {missing[:5]}"
-                + ("..." if len(missing) > 5 else "")
-            )
 
     def __repr__(self) -> str:
         budget = (

@@ -863,11 +863,6 @@ class DurableBitmapStore(BitmapFileStore):
         """Base rows plus every live delta's appended rows."""
         return self._manifest.total_rows
 
-    @property
-    def next_delta_seq(self) -> int:
-        """The seq the next delta generation would commit as."""
-        return self._manifest.delta_seq + 1
-
     def _reserve_generation(self) -> tuple[Manifest, int]:
         """The committed manifest plus a generation number no build
         of this store has used (see :class:`IndexBuild`).

@@ -258,3 +258,95 @@ class TestSequentialKillReAdmission:
         self, tmp_path
     ):
         self._restart_after_ingest(tmp_path, compact=True)
+
+    @pytest.mark.ingest
+    def test_readmitted_after_ingest(self, tmp_path):
+        """A replica killed after its fleet ingested rows is rebuilt
+        and re-admitted: the canary is the newest answer the gateway
+        delivered (over all 5,300 rows), not the first one (over the
+        5,000 rows served before the ingest), so the rebuilt fleet's
+        canary matches and the next wave answers every row."""
+        import numpy as np
+
+        from repro.hierarchy.tree import Hierarchy
+
+        hierarchy = Hierarchy.from_nested([[3, 3], [2, 4], [4]])
+        column = sample_column(
+            tpch_acctbal_leaf_probabilities(
+                hierarchy.num_leaves, seed=3
+            ),
+            num_rows=5_300,
+            seed=11,
+        )
+        executor = ShardedExecutor.build(
+            hierarchy, column[:5_000], NUM_SHARDS, tmp_path,
+            durable=True,
+        )
+        config = GatewayConfig(
+            max_batch_size=len(QUERIES),
+            max_batch_delay_s=0.05,
+            **dict(HEAL_CONFIG, max_probe_attempts=6),
+        )
+
+        async def wave(gateway):
+            return await asyncio.gather(
+                *(gateway.submit(query) for query in QUERIES)
+            )
+
+        async def scenario():
+            async with Gateway(
+                [ShardedReplica(0, executor)], config
+            ) as gateway:
+                await wave(gateway)
+                executor.ingest(column[5_000:])
+                after_ingest = await wave(gateway)
+                worker = executor.worker_processes[0]
+                worker.kill()
+                worker.join(timeout=10.0)
+
+                def readmissions():
+                    return gateway.metrics.counter_sum(
+                        "gateway_readmissions_total"
+                    )
+
+                # Wait for the kill to be noticed, then for the
+                # probes to settle: re-admitted, or dead once the
+                # probe budget is spent.
+                await _poll(
+                    lambda: gateway.replica_states()[0] != "active"
+                    or readmissions() >= 1
+                )
+                await _poll(
+                    lambda: gateway.replica_states()[0]
+                    in ("active", "dead")
+                )
+                state = gateway.replica_states()[0]
+                readmitted = readmissions()
+                after_restart = (
+                    await wave(gateway) if state == "active" else None
+                )
+                return (
+                    after_ingest,
+                    state,
+                    readmitted,
+                    after_restart,
+                    gateway.batch_records,
+                )
+
+        try:
+            executor.start()
+            executor.prepare(Workload(QUERIES))
+            after_ingest, state, readmitted, after_restart, records = (
+                asyncio.run(scenario())
+            )
+        finally:
+            executor.close()
+        assert state == "active"
+        assert readmitted >= 1
+        full = np.asarray(column)
+        for results in (after_ingest, after_restart):
+            for query, result in zip(QUERIES, results):
+                assert result.answer.num_bits == 5_300
+                assert result.answer == scan_answer(full, query)
+        for record in records:
+            assert record.report.reconciles()

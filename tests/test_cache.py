@@ -351,12 +351,6 @@ class TestMisc:
         pool.clear()
         assert not pool.cached_names
 
-    def test_verify_store_has(self, store):
-        pool = BufferPool(store)
-        pool.verify_store_has(["node_0.wah"])
-        with pytest.raises(StorageError):
-            pool.verify_store_has(["node_0.wah", "ghost.wah"])
-
     def test_missing_file_propagates(self, store):
         pool = BufferPool(store)
         with pytest.raises(StorageError):

@@ -292,8 +292,8 @@ class TestLifecycleUnits:
 class TestReAdmission:
     def test_flaky_replica_is_probed_and_readmitted(self):
         """A replica that fails once is suspected, probed with a
-        canary checked bit-identical against a healthy peer, and
-        returned to ACTIVE rotation."""
+        canary checked bit-identical against the newest answer the
+        gateway delivered, and returned to ACTIVE rotation."""
         flaky = FlakyReplica(0, fail_batches=1)
         healthy = StubReplica(1)
         config = GatewayConfig(

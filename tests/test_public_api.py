@@ -12,11 +12,43 @@ import pytest
 
 import repro
 
+#: The root's re-exports: the names the quickstarts, examples and docs
+#: import from ``repro``.  Everything else is imported from its
+#: subpackage, so a name added here is a deliberate API decision.
+ROOT_NAMES = {
+    "__version__",
+    "BatchExecutor",
+    "BitmapFileStore",
+    "BufferPool",
+    "CostModel",
+    "CutSelector",
+    "DurableBitmapStore",
+    "Hierarchy",
+    "MaterializedNodeCatalog",
+    "ModeledNodeCatalog",
+    "QueryExecutor",
+    "RangeQuery",
+    "Scrubber",
+    "ShardedExecutor",
+    "TraceCollector",
+    "Workload",
+    "collecting_metrics",
+    "fraction_workload",
+    "recording",
+    "scan_answer",
+    "tpch_acctbal_leaf_probabilities",
+    "uniform_leaf_probabilities",
+}
+
 
 class TestExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_root_exports_exactly_the_kept_names(self):
+        assert len(repro.__all__) == len(ROOT_NAMES)
+        assert set(repro.__all__) == ROOT_NAMES
 
     @pytest.mark.parametrize(
         "module_name",
@@ -27,6 +59,8 @@ class TestExports:
             "repro.workload",
             "repro.core",
             "repro.experiments",
+            "repro.serve",
+            "repro.obs",
         ],
     )
     def test_subpackage_all_resolve(self, module_name):

@@ -21,6 +21,7 @@ from repro.core.multi import select_cut_multi
 from repro.errors import QueryFailedError, ShardFailedError
 from repro.serve import (
     BatchExecutor,
+    BatchReport,
     ShardSpec,
     ShardedExecutor,
     shard_row_ranges,
@@ -154,7 +155,11 @@ class TestShardedCorrectness:
         _cut_infos, report = sharded_report
         assert report.num_shards == NUM_SHARDS
         assert report.reconciles()
+        # Every report is a BatchReport: the merged outcomes balance
+        # the summed totals the way a thread batch's outcomes do.
+        assert BatchReport.reconciles(report)
         for shard_report in report.shard_reports:
+            assert isinstance(shard_report, BatchReport)
             assert shard_report.reconciles()
         assert report.io.bytes_read == sum(
             r.io.bytes_read for r in report.shard_reports

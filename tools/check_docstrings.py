@@ -8,6 +8,11 @@ it runs in offline environments; CI enforces ``--fail-under 90`` on
 the ``repro`` package API and ``--fail-under 100`` on operator-facing
 modules (``repro.serve.gateway``).
 
+The default run gates the whole package API: the root's ``__all__``,
+the ``__all__`` of every ``repro.*`` subpackage, and ``repro.errors``
+(which has no ``__all__``, so its public callables count).  An object
+exported from several places is counted once.
+
 Usage::
 
     PYTHONPATH=src python tools/check_docstrings.py --fail-under 90
@@ -19,12 +24,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 import sys
 
 
 def _is_public_member(name: str) -> bool:
     return not name.startswith("_")
+
+
+def _has_doc(obj) -> bool:
+    doc = inspect.getdoc(obj)
+    return bool(doc and doc.strip())
 
 
 def _class_members(cls: type):
@@ -37,20 +49,22 @@ def _class_members(cls: type):
         if not _is_public_member(name):
             continue
         if isinstance(member, property):
-            yield f"{cls.__name__}.{name}", member.fget
+            yield name, member.fget
         elif isinstance(member, (staticmethod, classmethod)):
-            yield f"{cls.__name__}.{name}", member.__func__
+            yield name, member.__func__
         elif inspect.isfunction(member):
-            yield f"{cls.__name__}.{name}", member
+            yield name, member
 
 
-def collect(package) -> list[tuple[str, bool]]:
-    """(qualified name, has-docstring) for every public API item.
+def collect(package) -> dict[str, bool]:
+    """Qualified name -> has-docstring for every public API item.
 
     ``package`` is any module with an ``__all__``; a module without
-    one falls back to its public top-level callables.
+    one falls back to its public top-level callables.  Names are
+    qualified by the module that defines the object, so a re-export
+    and its original share one entry.
     """
-    items: list[tuple[str, bool]] = []
+    items: dict[str, bool] = {}
     exported = getattr(package, "__all__", None)
     if exported is None:
         exported = [
@@ -63,17 +77,33 @@ def collect(package) -> list[tuple[str, bool]]:
         obj = getattr(package, name)
         if isinstance(obj, str) or not callable(obj):
             continue  # __version__, singletons
-        doc = inspect.getdoc(obj)
-        items.append((name, bool(doc and doc.strip())))
+        qualified = f"{obj.__module__}.{obj.__qualname__}"
+        items[qualified] = _has_doc(obj)
         if inspect.isclass(obj):
             for member_name, func in _class_members(obj):
-                if func is None:
-                    continue
-                member_doc = inspect.getdoc(func)
-                items.append(
-                    (member_name, bool(member_doc and member_doc.strip()))
-                )
+                if func is not None:
+                    items[f"{qualified}.{member_name}"] = _has_doc(func)
     return items
+
+
+def default_modules() -> list[str]:
+    """The package root, every ``repro.*`` subpackage, and
+    ``repro.errors``."""
+    import repro
+
+    subpackages = sorted(
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    )
+    return ["repro", *subpackages, "repro.errors"]
+
+
+def _coverage(items: dict[str, bool]) -> tuple[int, float]:
+    documented = sum(items.values())
+    return documented, (
+        100.0 * documented / len(items) if items else 100.0
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,22 +121,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--module",
-        default="repro",
-        help="dotted module to gate (default: the repro package API)",
+        default=None,
+        help=(
+            "dotted module to gate (default: the repro package API, "
+            "root and every subpackage)"
+        ),
     )
     args = parser.parse_args(argv)
 
-    import importlib
+    modules = [args.module] if args.module else default_modules()
+    items: dict[str, bool] = {}
+    for name in modules:
+        module_items = collect(importlib.import_module(name))
+        if len(modules) > 1:
+            documented, coverage = _coverage(module_items)
+            print(
+                f"  {name}: {documented}/{len(module_items)} "
+                f"({coverage:.1f}%)"
+            )
+        items.update(module_items)
+    documented, coverage = _coverage(items)
+    missing = [name for name, has_doc in items.items() if not has_doc]
 
-    module = importlib.import_module(args.module)
-
-    items = collect(module)
-    documented = sum(1 for _name, has_doc in items if has_doc)
-    missing = [name for name, has_doc in items if not has_doc]
-    coverage = 100.0 * documented / len(items) if items else 100.0
-
+    label = args.module or f"the repro API ({len(modules)} modules)"
     print(
-        f"docstring coverage for {args.module}: "
+        f"docstring coverage for {label}: "
         f"{documented}/{len(items)} "
         f"({coverage:.1f}%), threshold {args.fail_under:.0f}%"
     )
