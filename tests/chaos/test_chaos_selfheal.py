@@ -259,13 +259,12 @@ class TestSequentialKillReAdmission:
     ):
         self._restart_after_ingest(tmp_path, compact=True)
 
-    @pytest.mark.ingest
-    def test_readmitted_after_ingest(self, tmp_path):
-        """A replica killed after its fleet ingested rows is rebuilt
-        and re-admitted: the canary is the newest answer the gateway
-        delivered (over all 5,300 rows), not the first one (over the
-        5,000 rows served before the ingest), so the rebuilt fleet's
-        canary matches and the next wave answers every row."""
+    @staticmethod
+    def _readmitted_after_ingest(tmp_path, wave_after_ingest: bool) -> None:
+        """A single-replica gateway answers a wave over 5,000 rows, its
+        fleet ingests 300 more (then, when ``wave_after_ingest``,
+        answers a wave over all 5,300), a worker is killed, and the
+        rebuilt fleet must be re-admitted and answer every row."""
         import numpy as np
 
         from repro.hierarchy.tree import Hierarchy
@@ -299,7 +298,9 @@ class TestSequentialKillReAdmission:
             ) as gateway:
                 await wave(gateway)
                 executor.ingest(column[5_000:])
-                after_ingest = await wave(gateway)
+                after_ingest = (
+                    [await wave(gateway)] if wave_after_ingest else []
+                )
                 worker = executor.worker_processes[0]
                 worker.kill()
                 worker.join(timeout=10.0)
@@ -323,30 +324,44 @@ class TestSequentialKillReAdmission:
                 state = gateway.replica_states()[0]
                 readmitted = readmissions()
                 after_restart = (
-                    await wave(gateway) if state == "active" else None
+                    [await wave(gateway)] if state == "active" else []
                 )
                 return (
-                    after_ingest,
+                    after_ingest + after_restart,
                     state,
                     readmitted,
-                    after_restart,
                     gateway.batch_records,
                 )
 
         try:
             executor.start()
             executor.prepare(Workload(QUERIES))
-            after_ingest, state, readmitted, after_restart, records = (
-                asyncio.run(scenario())
-            )
+            waves, state, readmitted, records = asyncio.run(scenario())
         finally:
             executor.close()
         assert state == "active"
         assert readmitted >= 1
+        assert len(waves) == 1 + wave_after_ingest
         full = np.asarray(column)
-        for results in (after_ingest, after_restart):
+        for results in waves:
             for query, result in zip(QUERIES, results):
                 assert result.answer.num_bits == 5_300
                 assert result.answer == scan_answer(full, query)
         for record in records:
             assert record.report.reconciles()
+
+    @pytest.mark.ingest
+    def test_readmitted_after_ingest(self, tmp_path):
+        """The canary is the newest answer the gateway delivered (over
+        all 5,300 rows), not the first one (over the 5,000 rows served
+        before the ingest), so the rebuilt fleet's canary matches and
+        the next wave answers every row."""
+        self._readmitted_after_ingest(tmp_path, wave_after_ingest=True)
+
+    @pytest.mark.ingest
+    def test_readmitted_after_ingest_before_any_wave(self, tmp_path):
+        """With no wave between the ingest and the kill, the canary
+        still covers only the first 5,000 rows: the rebuilt fleet
+        answers over 5,300, its first 5,000 rows match, and it is
+        re-admitted rather than probed to death."""
+        self._readmitted_after_ingest(tmp_path, wave_after_ingest=False)
