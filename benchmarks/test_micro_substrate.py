@@ -97,27 +97,12 @@ def test_kcut_constrained(benchmark):
     )
 
 
-def test_roaring_or(benchmark):
-    from repro.bitmap.roaring import RoaringBitmap
-
-    rng = np.random.default_rng(3)
-    a = RoaringBitmap.from_positions(
-        rng.choice(NUM_BITS, size=NUM_BITS // 100, replace=False),
-        NUM_BITS,
-    )
-    b = RoaringBitmap.from_positions(
-        rng.choice(NUM_BITS, size=NUM_BITS // 100, replace=False),
-        NUM_BITS,
-    )
-    benchmark(lambda: a | b)
-
-
 def test_plwah_encode(benchmark, sparse_pair):
-    from repro.bitmap.plwah import plwah_encode
+    from repro.experiments.compression import plwah_size_bytes
 
     a, _b = sparse_pair
     words = a.words
-    benchmark(lambda: plwah_encode(words))
+    benchmark(lambda: plwah_size_bytes(words))
 
 
 def test_index_append_batch(benchmark):

@@ -1,7 +1,7 @@
 """Process-wide counters and histograms for the query path.
 
 Where :mod:`repro.obs.trace` records *what happened, in order*, this
-module aggregates *how much and how fast*: storage bytes by codec,
+module aggregates *how much and how fast*: storage bytes read,
 planner and decode latencies, union widths, fault counts.  The split
 keeps traces deterministic (no wall-clock data) while still exposing
 timing through a side channel.
@@ -17,7 +17,7 @@ counters, ``*_seconds`` for timings — and labels are passed as keyword
 arguments::
 
     metrics = get_metrics()
-    metrics.inc("storage_read_bytes_total", nbytes, codec="wah")
+    metrics.inc("cache_hits_total", tier="pinned")
     metrics.observe("planner_seconds", elapsed, algorithm="hcs")
 """
 

@@ -142,13 +142,15 @@ def hierarchy_fingerprint(hierarchy) -> str:
 
 
 def _payload_codec_name(payload: bytes) -> str:
-    """Codec label for a manifest entry (``"raw"`` when unframed)."""
-    from ..bitmap.serialization import codec_name, payload_codec
+    """Codec label for a manifest entry: ``"wah"`` for a valid WAH
+    frame, else ``"raw"``."""
+    from ..bitmap.serialization import verify_frame
 
     try:
-        return codec_name(payload_codec(payload))
+        verify_frame(payload)
     except BitmapDecodeError:
         return "raw"
+    return "wah"
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,9 +161,15 @@ class ManifestEntry:
         name: logical file name queries use (``node_<id>.wah``).
         physical: generation-prefixed on-disk file name.
         size: exact payload size in bytes.
-        crc32: CRC32 of the full payload (detects at-rest rot).
-        codec: serialization codec label (``wah``/``plwah``/
-            ``roaring``/``plain``/``raw``).
+        crc32: CRC32 of the full payload.  A WAH frame ends in the CRC
+            of its own bytes, so for every valid frame this is the same
+            residue, ``0x2144DF1C``: :meth:`matches` catches at-rest rot
+            through the size and the frame's own CRC, and cannot tell
+            one valid frame from another of the same size.  A CRC of
+            the frame body, which can, comes with the ROADMAP item
+            "Packed delta segments".
+        codec: ``"wah"`` for a valid WAH frame, else ``"raw"``
+            (recorded, never read back).
     """
 
     name: str

@@ -1,10 +1,9 @@
-"""Uncompressed reference bitmap.
+"""Uncompressed reference bitmap, kept as the test oracle.
 
 :class:`PlainBitmap` is a simple, obviously-correct bitvector backed by a
-Python arbitrary-precision integer.  It exists as the oracle against which
-the compressed :class:`~repro.bitmap.wah.WahBitmap` is property-tested, and
-as a convenient bitmap for tiny examples.  It is *not* used on the hot path
-of the reproduction.
+Python arbitrary-precision integer.  The property suites check
+:class:`~repro.bitmap.wah.WahBitmap` and the Roaring oracle
+(``tests/roaring_reference.py``) against it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import BitmapLengthMismatchError
+from repro.errors import BitmapLengthMismatchError
 
 __all__ = ["PlainBitmap"]
 
@@ -79,16 +78,6 @@ class PlainBitmap:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def num_bits(self) -> int:
-        """Logical length of the bitmap in bits."""
-        return self._num_bits
-
-    @property
-    def value(self) -> int:
-        """The raw integer backing the bitmap (bit ``i`` = row ``i``)."""
-        return self._value
-
     def count(self) -> int:
         """Number of set bits."""
         return self._value.bit_count()

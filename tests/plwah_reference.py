@@ -1,4 +1,4 @@
-"""PLWAH — Position List Word Aligned Hybrid compression.
+"""PLWAH — Position List Word Aligned Hybrid — kept as the test oracle.
 
 PLWAH (Deliège & Pedersen, EDBT 2010 — the paper's reference [20])
 improves WAH's space by absorbing *nearly identical* literals into the
@@ -16,8 +16,10 @@ over the canonical WAH word stream:
 ``position`` is 1-based (0 = no piggybacked literal); the absorbed
 literal logically follows the fill's ``count`` groups.  Logical
 operations delegate to :class:`~repro.bitmap.wah.WahBitmap` (decode →
-operate → re-encode), which keeps the codec honest: its paper-relevant
-property is *size*, which is what the cost model consumes.
+operate → re-encode).  The codec's paper-relevant property is its
+*size*, which :func:`repro.experiments.compression.plwah_size_bytes`
+computes from the WAH words without encoding; the property suites
+require it to equal :attr:`PlwahBitmap.serialized_size_bytes`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .serialization import HEADER_SIZE_BYTES, TRAILER_SIZE_BYTES
-from .wah import LITERAL_PAYLOAD_MASK, WahBitmap
+from repro.bitmap.serialization import HEADER_SIZE_BYTES, TRAILER_SIZE_BYTES
+from repro.bitmap.wah import LITERAL_PAYLOAD_MASK, WahBitmap
 
 __all__ = ["PlwahBitmap", "plwah_encode", "plwah_decode"]
 
@@ -175,13 +177,9 @@ class PlwahBitmap:
         return len(self._words)
 
     @property
-    def words(self) -> tuple[int, ...]:
-        """The PLWAH code words (read-only view)."""
-        return tuple(self._words)
-
-    @property
     def serialized_size_bytes(self) -> int:
-        """On-disk footprint under the shared frame + u32 layout."""
+        """Footprint of the PLWAH words in a WAH-sized frame (header,
+        u32 words, CRC trailer)."""
         return (
             HEADER_SIZE_BYTES + 4 * len(self._words) + TRAILER_SIZE_BYTES
         )

@@ -1,20 +1,19 @@
-"""A Roaring-style chunked bitmap (comparison substrate).
+"""A Roaring-style chunked bitmap, kept as the test oracle.
 
-The paper's cost model is calibrated against WAH; modern systems favor
-Roaring-family bitmaps (the natural Python reproduction route would use
-``pyroaring``).  This from-scratch "roaring-lite" implements the classic
-two-container scheme so the repo can compare compression behavior across
-schemes and re-derive the density→size curve per library:
+This from-scratch "roaring-lite" implements the classic two-container
+scheme:
 
 * the row space is split into 2¹⁶-bit *chunks*;
 * a chunk holding at most :data:`ARRAY_CONTAINER_LIMIT` rows stores the
   sorted 16-bit offsets (*array container*, 2 bytes/row);
 * denser chunks store a packed 8 KiB bitset (*bitmap container*).
 
-The API mirrors :class:`~repro.bitmap.wah.WahBitmap` (constructors,
-logical ops, ``count``/``density``/``to_positions``,
-``serialized_size_bytes``), so property tests can run both against the
-same plain-bitmap oracle.
+Its logical operations are checked against the plain oracle
+(``tests/plain_reference.py``), and its
+:attr:`RoaringBitmap.serialized_size_bytes` is the oracle of
+:func:`repro.experiments.compression.roaring_size_bytes`, which
+computes the same size from the set-bit positions without building
+containers.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ..errors import BitmapLengthMismatchError
-from .kernels import sorted_unique
+from repro.bitmap.kernels import sorted_unique
+from repro.errors import BitmapLengthMismatchError
 
 __all__ = ["RoaringBitmap", "CHUNK_BITS", "ARRAY_CONTAINER_LIMIT"]
 
@@ -213,44 +212,7 @@ class RoaringBitmap:
             np.flatnonzero(bits), int(bits.size)
         )
 
-    @classmethod
-    def from_chunks(
-        cls,
-        chunks: Iterable[tuple[int, str, np.ndarray, int]],
-        num_bits: int,
-    ) -> "RoaringBitmap":
-        """Rebuild from ``chunks()`` output (the serialization path)."""
-        containers: dict[int, _Container] = {}
-        for key, kind, data, cardinality in chunks:
-            if kind == "array":
-                data = np.ascontiguousarray(data, dtype=np.uint16)
-            elif kind == "bitmap":
-                data = np.ascontiguousarray(data, dtype=np.uint64)
-            else:
-                raise ValueError(f"unknown container kind {kind!r}")
-            containers[int(key)] = _Container(
-                kind, data, int(cardinality)
-            )
-        return cls(containers, num_bits)
-
-    def chunks(self) -> list[tuple[int, str, np.ndarray, int]]:
-        """Per-chunk ``(key, kind, data, cardinality)`` in key order."""
-        return [
-            (
-                key,
-                self._containers[key].kind,
-                self._containers[key].data,
-                self._containers[key].cardinality,
-            )
-            for key in sorted(self._containers)
-        ]
-
     # ------------------------------------------------------------------
-    @property
-    def num_bits(self) -> int:
-        """Logical length in bits."""
-        return self._num_bits
-
     @property
     def num_chunks(self) -> int:
         """Number of non-empty 2^16-bit chunks."""
@@ -258,7 +220,7 @@ class RoaringBitmap:
 
     @property
     def serialized_size_bytes(self) -> int:
-        """Approximate on-disk footprint: per-chunk header + payload."""
+        """Per-chunk header plus container bytes (no frame)."""
         return sum(
             _CHUNK_HEADER_BYTES + container.nbytes
             for container in self._containers.values()

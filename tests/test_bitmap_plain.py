@@ -1,12 +1,13 @@
-"""Unit tests for the plain reference bitmap."""
+"""Unit tests for the plain reference bitmap (the test oracle)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.bitmap.plain import PlainBitmap
 from repro.errors import BitmapLengthMismatchError
+
+from .plain_reference import PlainBitmap
 
 
 class TestConstruction:

@@ -1,4 +1,4 @@
-"""Tests for the PLWAH codec."""
+"""Tests for the PLWAH oracle (``tests/plwah_reference.py``)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.plwah import (
-    PlwahBitmap,
-    plwah_decode,
-    plwah_encode,
-)
 from repro.bitmap.wah import WahBitmap
+
+from .plwah_reference import PlwahBitmap, plwah_decode, plwah_encode
 
 
 class TestCodecRoundTrip:

@@ -1,8 +1,9 @@
 """Property-based tests: WAH against the plain reference bitmap.
 
-The :class:`PlainBitmap` (a Python-int bitvector) is the oracle; every
-WAH operation must agree with it on arbitrary inputs, including lengths
-that are not multiples of the 31-bit group size.
+The :class:`PlainBitmap` (a Python-int bitvector in
+``tests/plain_reference.py``) is the oracle; every WAH operation must
+agree with it on arbitrary inputs, including lengths that are not
+multiples of the 31-bit group size.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.plain import PlainBitmap
 from repro.bitmap.serialization import deserialize_wah, serialize_wah
 from repro.bitmap.wah import WahBitmap
+
+from .plain_reference import PlainBitmap
 
 MAX_BITS = 700
 

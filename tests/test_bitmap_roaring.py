@@ -1,4 +1,4 @@
-"""Tests for the Roaring-style chunked bitmap."""
+"""Tests for the Roaring oracle (``tests/roaring_reference.py``)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.plain import PlainBitmap
-from repro.bitmap.roaring import (
+from repro.errors import BitmapLengthMismatchError
+
+from .plain_reference import PlainBitmap
+from .roaring_reference import (
     ARRAY_CONTAINER_LIMIT,
     CHUNK_BITS,
     RoaringBitmap,
 )
-from repro.errors import BitmapLengthMismatchError
 
 
 class TestConstruction:

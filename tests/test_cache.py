@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bitmap.plain import PlainBitmap
-from repro.bitmap.plwah import PlwahBitmap
-from repro.bitmap.roaring import RoaringBitmap
-from repro.bitmap.serialization import serialize_bitmap
+from repro.bitmap.serialization import serialize_wah
 from repro.bitmap.wah import WahBitmap
 from repro.errors import BudgetExceededError, StorageError
 from repro.obs import collecting_metrics, recording
@@ -145,15 +142,21 @@ class TestAdmissionReconciliation:
     budget_bytes`` a real invariant even when the estimate lies."""
 
     def test_size_bytes_agrees_with_payload_for_every_codec(self):
+        """WAH frames (the one codec) of sparse, dense, all-zero and
+        all-one bitmaps, and an unframed payload."""
         store = BitmapFileStore()
-        bitmaps = {
-            "wah": WahBitmap.from_positions([1, 5, 900], 2048),
-            "plwah": PlwahBitmap.from_positions([1, 5, 900], 2048),
-            "roaring": RoaringBitmap.from_positions([1, 5, 900], 2048),
-            "plain": PlainBitmap.from_positions([1, 5, 900], 2048),
+        payloads = {
+            "sparse": serialize_wah(
+                WahBitmap.from_positions([1, 5, 900], 2048)
+            ),
+            "dense": serialize_wah(
+                WahBitmap.from_positions(range(0, 2048, 3), 2048)
+            ),
+            "zeros": serialize_wah(WahBitmap.zeros(2048)),
+            "ones": serialize_wah(WahBitmap.ones(2048)),
+            "raw": bytes(range(200)),
         }
-        for name, bitmap in bitmaps.items():
-            payload = serialize_bitmap(bitmap)
+        for name, payload in payloads.items():
             store.write(f"{name}.bin", payload)
             assert store.size_bytes(f"{name}.bin") == len(payload)
             assert len(store.read(f"{name}.bin")) == len(payload)
