@@ -105,21 +105,6 @@ def test_plwah_encode(benchmark, sparse_pair):
     benchmark(lambda: plwah_size_bytes(words))
 
 
-def test_index_append_batch(benchmark):
-    from repro.bitmap.index import HierarchicalBitmapIndex
-    from repro.hierarchy.tree import paper_hierarchy
-
-    hierarchy = paper_hierarchy(100)
-    rng = np.random.default_rng(4)
-    batch = rng.integers(0, 100, size=20_000).astype(np.int64)
-
-    def append_once():
-        index = HierarchicalBitmapIndex(hierarchy)
-        index.append_rows(batch)
-
-    benchmark.pedantic(append_once, rounds=3, iterations=1)
-
-
 def test_adaptive_observe_with_check(benchmark):
     from repro.core.adaptive import AdaptiveCutMaintainer
     from repro.workload.query import RangeQuery

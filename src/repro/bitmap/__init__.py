@@ -5,7 +5,6 @@ from .builder import (
     bitmap_for_leaf_set,
     build_span_bitmap,
 )
-from .index import HierarchicalBitmapIndex
 from .serialization import (
     HEADER_SIZE_BYTES,
     TRAILER_SIZE_BYTES,
@@ -26,5 +25,4 @@ __all__ = [
     "verify_frame",
     "build_span_bitmap",
     "bitmap_for_leaf_set",
-    "HierarchicalBitmapIndex",
 ]

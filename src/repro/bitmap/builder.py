@@ -6,9 +6,9 @@ paper assumes only leaves occur in the database (§2.1.1); an internal
 node's bitmap marks the rows whose value is any of its leaf descendants.
 
 :func:`node_positions` is the one builder of per-node row sets: the
-base build (:class:`~repro.storage.catalog.MaterializedNodeCatalog`),
-delta appends (:class:`~repro.storage.delta.DeltaAppender`) and
-:class:`~repro.bitmap.index.HierarchicalBitmapIndex` all go through it.
+base build (:class:`~repro.storage.catalog.MaterializedNodeCatalog`)
+and delta appends (:class:`~repro.storage.delta.DeltaAppender`) both
+go through it.
 """
 
 from __future__ import annotations

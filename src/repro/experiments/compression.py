@@ -90,23 +90,23 @@ def plwah_size_bytes(words) -> int:
 
 
 def roaring_size_bytes(positions) -> int:
-    """Size of a Roaring bitmap over distinct set-bit ``positions``.
+    """Framed size of a Roaring bitmap over distinct set-bit
+    ``positions``.
 
     Each non-empty 2^16-bit chunk holding ``card`` rows costs an 8-byte
     header plus ``min(2 · card, 8192)`` bytes: sorted 16-bit offsets up
-    to 4,096 rows, a packed bitset above.  Unlike the WAH and PLWAH
-    sizes, this leaves out the 28-byte frame (header and CRC trailer);
-    it is kept that way so the experiment's output stays as it was.
+    to 4,096 rows, a packed bitset above.  The size counts the frame's
+    header and CRC trailer around the chunks, as the WAH and PLWAH
+    sizes do.
     """
     positions = np.asarray(positions, dtype=np.int64)
     cards = np.bincount(positions >> _ROARING_CHUNK_SHIFT)
     cards = cards[cards > 0]
-    return int(
-        (
-            _ROARING_CHUNK_HEADER_BYTES
-            + np.minimum(2 * cards, _ROARING_BITMAP_CONTAINER_BYTES)
-        ).sum()
+    chunks = (
+        _ROARING_CHUNK_HEADER_BYTES
+        + np.minimum(2 * cards, _ROARING_BITMAP_CONTAINER_BYTES)
     )
+    return HEADER_SIZE_BYTES + TRAILER_SIZE_BYTES + int(chunks.sum())
 
 
 def measure_scheme_sizes(

@@ -240,11 +240,9 @@ class _WorkerState:
                 ).cut.node_ids
             )
         if budget_bytes is not None:
-            pool_budget: int | None = int(budget_bytes)
-        elif cut:
-            pool_budget = self._cut_file_bytes(cut)
+            pool_budget = int(budget_bytes)
         else:
-            pool_budget = None
+            pool_budget = self._cut_pool_budget(cut)
         self._auto_budget = budget_bytes is None
         self._cut = cut
         self._build_serving(pool_budget)
@@ -255,21 +253,22 @@ class _WorkerState:
             pool_budget,
         )
 
-    def _cut_file_bytes(self, cut: tuple[int, ...]) -> int:
-        """Total stored bytes of the cut members' bitmap files."""
+    def _cut_pool_budget(self, cut: tuple[int, ...]) -> int | None:
+        """The pool budget when none is given: the cut members' stored
+        file bytes, or unbounded (``None``) for an empty cut."""
         from ..storage.catalog import node_file_name
 
+        if not cut:
+            return None
         return sum(
             self._store.size_bytes(node_file_name(node_id))
             for node_id in cut
         )
 
     def _build_serving(self, pool_budget: int | None) -> None:
-        """(Re)build the shard's pool and batch executor."""
-        from ..core.executor import QueryExecutor
+        """(Re)build the shard's pool, then its batch executor."""
         from ..storage.cache import BufferPool
         from ..storage.faults import RetryPolicy
-        from .batch import BatchExecutor
 
         retry = (
             RetryPolicy(
@@ -283,6 +282,13 @@ class _WorkerState:
             budget_bytes=pool_budget,
             retry_policy=retry,
         )
+        self._build_executor()
+
+    def _build_executor(self) -> None:
+        """(Re)build the batch executor over the catalog and pool."""
+        from ..core.executor import QueryExecutor
+        from .batch import BatchExecutor
+
         self._batch = BatchExecutor(
             QueryExecutor(self._catalog, self._pool),
             max_workers=self._config.threads,
@@ -314,22 +320,30 @@ class _WorkerState:
         return ("ingested", self._config.shard_id, result)
 
     def compact(self, max_deltas: int | None) -> tuple:
-        """Fold this shard's delta generations into a new base (the
-        pool re-reads each folded base it held when next used).
+        """Fold this shard's delta generations into a new base.
 
-        A pool budgeted to the cut's *file bytes* (no explicit budget
-        at prepare time) is rebuilt against the new base generation:
-        folded bases are larger than the ones the budget was sized
-        for, and a stale budget would reject the very cut it exists
-        to hold.
+        A fold that did work reopens the catalog, as a restarted worker
+        does, so plans and a later :meth:`prepare` price the folded
+        base.  A pool given no explicit budget is rebuilt: a cut-sized
+        budget would reject the larger folded cut, and an unbounded
+        pool would keep the folded deltas' copies.  An explicitly
+        budgeted pool, which holds no delta copies, serves on (it
+        re-reads each folded base it held when next used).
         """
+        from ..storage.catalog import MaterializedNodeCatalog
         from ..storage.compactor import Compactor
 
         report = Compactor(
             self._store, max_deltas_per_run=max_deltas
         ).run()
-        if report.did_work and self._auto_budget and self._cut:
-            self._build_serving(self._cut_file_bytes(self._cut))
+        if report.did_work:
+            self._catalog = MaterializedNodeCatalog.from_store(
+                self._catalog.hierarchy, self._store
+            )
+            if self._auto_budget:
+                self._build_serving(self._cut_pool_budget(self._cut))
+            elif self._batch is not None:
+                self._build_executor()
         return ("compacted", self._config.shard_id, report)
 
 

@@ -362,12 +362,16 @@ class MaterializedNodeCatalog(NodeCatalog):
         manifest's hierarchy fingerprint is verified first, so an index
         built for a different hierarchy is rejected up front.  Raises
         :class:`~repro.errors.StorageError` when a node's bitmap is
-        absent.
+        absent.  A durable store's files are read as committed, the way
+        the scrubber and compactor read them, not through its
+        read-fault injector.
         """
         from .manifest import DurableBitmapStore
 
+        read = store.read
         if isinstance(store, DurableBitmapStore):
             store.verify_hierarchy(hierarchy)
+            read = store.read_physical
         catalog = cls.__new__(cls)
         catalog._store = store
         densities = np.empty(hierarchy.num_nodes, dtype=float)
@@ -380,7 +384,7 @@ class MaterializedNodeCatalog(NodeCatalog):
                     f"store has no bitmap for node {node.node_id} "
                     f"({name!r}); cannot reopen catalog"
                 )
-            payload = store.read(name)
+            payload = read(name)
             bitmap = deserialize_wah(payload)
             densities[node.node_id] = bitmap.density()
             sizes[node.node_id] = len(payload) / MB

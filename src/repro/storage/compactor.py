@@ -21,8 +21,8 @@ scrub, not a compaction — so a mismatch aborts the build (deleting
 what it staged) with a typed :class:`~repro.errors.StorageError`.
 
 :class:`BackgroundCompactor` runs the same fold on a daemon thread
-with a delta-count threshold, the deployment shape the sharded serving
-path uses (each shard compacts its own store).
+with a delta-count threshold; no serving path starts one (a shard
+worker folds inline on :meth:`~repro.serve.sharded.ShardedExecutor.compact`).
 """
 
 from __future__ import annotations
@@ -145,7 +145,10 @@ class Compactor:
         Returns a no-op report when the store has no live deltas.
         Holds the store's reorg lock for the whole fold, so a
         concurrent append can neither be dropped by this commit nor
-        observe a half-staged base.
+        observe a half-staged base.  A catalog opened before the fold
+        keeps the old base's sizes, so its plans and EXPLAIN
+        predictions are off until ``MaterializedNodeCatalog.from_store``
+        reopens it.
         """
         store = self._store
         with store._reorg_lock:

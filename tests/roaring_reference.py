@@ -13,7 +13,7 @@ Its logical operations are checked against the plain oracle
 :attr:`RoaringBitmap.serialized_size_bytes` is the oracle of
 :func:`repro.experiments.compression.roaring_size_bytes`, which
 computes the same size from the set-bit positions without building
-containers.
+containers and adds the frame's header and CRC trailer.
 """
 
 from __future__ import annotations

@@ -1,18 +1,14 @@
-"""Tests for WAH concat and the appendable hierarchical index."""
+"""Tests for WAH concat and the per-node tails an append builds."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap.builder import node_positions
-from repro.bitmap.index import HierarchicalBitmapIndex
 from repro.bitmap.wah import WORD_PAYLOAD_BITS, WahBitmap
-from repro.errors import WorkloadError
 from repro.hierarchy.tree import Hierarchy
-from repro.storage.filestore import BitmapFileStore
 
 from .builder_reference import mask_positions
 from .wah_reference import ReferenceWah
@@ -86,107 +82,6 @@ class TestConcat:
         assert joined.words == reference.words
 
 
-@pytest.fixture
-def hierarchy() -> Hierarchy:
-    return Hierarchy.from_nested([[3, 3], [2, 4]])
-
-
-class TestHierarchicalBitmapIndex:
-    def test_initial_column_indexed(self, hierarchy, rng):
-        column = rng.integers(0, hierarchy.num_leaves, size=500)
-        index = HierarchicalBitmapIndex(hierarchy, column)
-        assert index.num_rows == 500
-        index.verify_consistency()
-
-    def test_batch_appends_accumulate(self, hierarchy, rng):
-        index = HierarchicalBitmapIndex(hierarchy)
-        batches = [
-            rng.integers(0, hierarchy.num_leaves, size=n)
-            for n in (100, 37, 501)
-        ]
-        for batch in batches:
-            index.append_rows(batch)
-        assert index.num_rows == sum(b.size for b in batches)
-        index.verify_consistency()
-        full = np.concatenate(batches)
-        whole = HierarchicalBitmapIndex(hierarchy, full)
-        for node in hierarchy:
-            assert index.bitmap(node.node_id) == whole.bitmap(
-                node.node_id
-            )
-
-    def test_lookup_range_matches_scan(self, hierarchy, rng):
-        column = rng.integers(0, hierarchy.num_leaves, size=1000)
-        index = HierarchicalBitmapIndex(hierarchy, column)
-        for lo, hi in [(0, 2), (3, 8), (0, 11), (5, 5), (7, 3)]:
-            answer = index.lookup_range(lo, hi)
-            expected = np.flatnonzero(
-                (column >= lo) & (column <= hi)
-            ).tolist()
-            assert answer.to_positions().tolist() == expected
-
-    def test_lookup_after_appends(self, hierarchy, rng):
-        index = HierarchicalBitmapIndex(hierarchy)
-        column_parts = []
-        for _ in range(4):
-            batch = rng.integers(0, hierarchy.num_leaves, size=200)
-            index.append_rows(batch)
-            column_parts.append(batch)
-        column = np.concatenate(column_parts)
-        answer = index.lookup_range(2, 9)
-        expected = np.flatnonzero(
-            (column >= 2) & (column <= 9)
-        ).tolist()
-        assert answer.to_positions().tolist() == expected
-
-    def test_empty_append_is_noop(self, hierarchy):
-        index = HierarchicalBitmapIndex(hierarchy)
-        index.append_rows(np.array([], dtype=np.int64))
-        assert index.num_rows == 0
-
-    def test_validation(self, hierarchy):
-        index = HierarchicalBitmapIndex(hierarchy)
-        with pytest.raises(WorkloadError):
-            index.append_rows(np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(WorkloadError):
-            index.append_rows(np.array([0.5]))
-        with pytest.raises(WorkloadError):
-            index.append_rows(
-                np.array([hierarchy.num_leaves], dtype=np.int64)
-            )
-
-    def test_density(self, hierarchy):
-        column = np.zeros(100, dtype=np.int64)
-        index = HierarchicalBitmapIndex(hierarchy, column)
-        leaf0 = hierarchy.leaf_node_id(0)
-        assert index.density(leaf0) == pytest.approx(1.0)
-        assert index.density(hierarchy.root_id) == pytest.approx(1.0)
-
-    def test_flush_to_store(self, hierarchy, rng):
-        column = rng.integers(0, hierarchy.num_leaves, size=300)
-        index = HierarchicalBitmapIndex(hierarchy, column)
-        store = BitmapFileStore()
-        written = index.flush_to_store(store)
-        assert written == store.total_bytes()
-        assert store.exists("node_0.wah")
-        assert (
-            len(list(store.names())) == hierarchy.num_nodes
-        )
-
-    def test_zero_size_fill_tail_stays_compact(self, hierarchy):
-        """Appending rows that miss a node grows its bitmap by at
-        most one fill word."""
-        index = HierarchicalBitmapIndex(hierarchy)
-        index.append_rows(np.zeros(10_000, dtype=np.int64))
-        last_leaf = hierarchy.leaf_node_id(
-            hierarchy.num_leaves - 1
-        )
-        assert index.bitmap(last_leaf).num_words <= 1
-
-    def test_repr(self, hierarchy):
-        assert "rows=0" in repr(HierarchicalBitmapIndex(hierarchy))
-
-
 class TestAppendVectorization:
     """Appends build their tails through the index builder, which must
     be indistinguishable from the per-node mask loop it replaced (kept
@@ -212,41 +107,3 @@ class TestAppendVectorization:
         }
         # Node for node, the same rows in the same (sorted) order.
         assert built == reference
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.lists(
-                st.integers(min_value=0, max_value=11),
-                max_size=60,
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_appended_bitmaps_match_the_reference_loop(
-        self, batches
-    ):
-        hierarchy = Hierarchy.from_nested([[2, 2], [3, 2], [3]])
-        fast = HierarchicalBitmapIndex(hierarchy)
-        oracle = HierarchicalBitmapIndex(hierarchy)
-        for values in batches:
-            batch = np.asarray(values, dtype=np.int64)
-            fast.append_rows(batch)
-            if batch.size == 0:
-                continue
-            # Drive the oracle index through the reference loop.
-            for node_id, positions in mask_positions(hierarchy, batch):
-                tail = WahBitmap.from_positions(
-                    positions, batch.size
-                )
-                oracle._bitmaps[node_id] = oracle._bitmaps[
-                    node_id
-                ].concat(tail)
-            oracle._num_rows += int(batch.size)
-        assert fast.num_rows == oracle.num_rows
-        for node in hierarchy:
-            ours = fast.bitmap(node.node_id)
-            theirs = oracle.bitmap(node.node_id)
-            assert ours.words == theirs.words, node.node_id
-        fast.verify_consistency()

@@ -198,7 +198,10 @@ class TestRoaringSizeFunction:
             RoaringBitmap.from_positions(
                 positions, num_bits
             ).serialized_size_bytes
+            + HEADER_SIZE_BYTES
+            + TRAILER_SIZE_BYTES
         )
 
-    def test_leaves_out_the_frame(self):
-        assert roaring_size_bytes([65_535, 65_536]) == 2 * (8 + 2)
+    def test_counts_the_frame(self):
+        # Two one-row chunks of 8 + 2 bytes inside the 28-byte frame.
+        assert roaring_size_bytes([65_535, 65_536]) == 48

@@ -13,7 +13,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.bitmap.serialization import deserialize_wah
 from repro.core.executor import QueryExecutor, scan_answer
+from repro.core.opnodes import build_query_plan
 from repro.errors import StorageError, WorkloadError
 from repro.hierarchy.tree import Hierarchy, paper_hierarchy
 from repro.obs import TraceCollector, collecting_metrics, recording
@@ -189,6 +191,24 @@ def test_tail_payloads_equal_the_reference_encoding(
         assert store.read(delta_file_name(seq, node_id)) == payload
 
 
+def test_tail_of_a_node_the_batch_misses_is_one_word(tmp_path, hierarchy):
+    """A node none of the batch's rows fall under gets a single zero
+    fill word, however long the batch."""
+    store, _ = _build(tmp_path, hierarchy)
+    seq = DeltaAppender(store, hierarchy).append(
+        np.zeros(10_000, dtype=np.int64)
+    ).seq
+    missed = [node for node in hierarchy if node.leaf_lo > 0]
+    assert missed
+    for node in missed:
+        tail = deserialize_wah(
+            store.read(delta_file_name(seq, node.node_id))
+        )
+        assert tail.num_bits == 10_000
+        assert tail.count() == 0
+        assert tail.num_words == 1, node.node_id
+
+
 def test_stale_delta_build_commit_is_rejected(tmp_path, hierarchy):
     """Two builds racing the same seq: the loser's commit raises
     instead of silently aliasing delta file names, and its abort
@@ -288,6 +308,42 @@ def test_merge_on_read_matches_full_rebuild(tmp_path, hierarchy):
                 answer.to_positions().tolist()
                 == expected.to_positions().tolist()
             )
+
+
+def test_aggregate_over_live_deltas_matches_numpy(tmp_path, hierarchy):
+    """A measure spanning the base and three delta generations
+    aggregates to what numpy computes over the scan's rows."""
+    store, column = _build(tmp_path, hierarchy)
+    base_rows = column.size
+    rng = np.random.default_rng(17)
+    appender = DeltaAppender(store, hierarchy)
+    for size in (23, 1, 64):
+        batch = rng.integers(
+            0, hierarchy.num_leaves, size=size, dtype=np.int64
+        )
+        appender.append(batch)
+        column = np.concatenate([column, batch])
+    measure = rng.gamma(2.0, 25.0, size=column.size)
+    catalog = MaterializedNodeCatalog.from_store(hierarchy, store)
+    executor = QueryExecutor(catalog, BufferPool(store))
+    query = RangeQuery([(1, 6)])
+    plan = build_query_plan(
+        catalog, query, hierarchy.node(hierarchy.root_id).children
+    )
+    selected = measure[scan_answer(column, query).to_positions()]
+    expected = {
+        "count": selected.size,
+        "sum": selected.sum(),
+        "avg": selected.mean(),
+        "min": selected.min(),
+        "max": selected.max(),
+    }
+    for agg, value in expected.items():
+        got, result = executor.aggregate(plan, measure, agg)
+        assert result.answer.num_bits == column.size
+        assert got == value, agg
+    with pytest.raises(ValueError, match="one value per row"):
+        executor.aggregate(plan, measure[:base_rows], "sum")
 
 
 def test_merge_on_read_emits_delta_merge_trace(tmp_path, hierarchy):

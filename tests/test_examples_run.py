@@ -72,6 +72,10 @@ def test_append_stream():
     result = _run("append_stream.py")
     assert result.returncode == 0, result.stderr
     assert "SUM(amount)" in result.stdout
+    assert (
+        "merge-on-read answer equals scan_answer over all 48,000 rows"
+        in result.stdout
+    )
     assert "materialization advisor" in result.stdout
 
 

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.hierarchy.tree import Hierarchy
 from repro.storage.catalog import MaterializedNodeCatalog, node_file_name
+from repro.storage.faults import FaultPolicy
 from repro.storage.filestore import BitmapFileStore
 from repro.storage.manifest import (
     MANIFEST_FORMAT_VERSION,
@@ -322,6 +323,31 @@ def test_catalog_from_store_reopens_without_rebuilding(tmp_path):
         assert reopened.size_mb(node.node_id) == pytest.approx(
             built.size_mb(node.node_id)
         )
+
+
+def test_catalog_from_store_reads_committed_bytes(tmp_path):
+    """A reopen reads a durable store's files as committed, as scrub
+    and compaction do: every read through the store's fault injector
+    would fail here, and none is made."""
+    rng = np.random.default_rng(15)
+    h = Hierarchy.from_nested([[2, 2], [2]])
+    built = MaterializedNodeCatalog(
+        h,
+        rng.integers(0, h.num_leaves, size=500),
+        DurableBitmapStore(tmp_path),
+    )
+    policy = FaultPolicy(
+        seed=0, transient_rate=1.0, max_consecutive_per_name=10
+    )
+
+    reopened = MaterializedNodeCatalog.from_store(
+        h, DurableBitmapStore(tmp_path, fault_policy=policy)
+    )
+
+    assert policy.total_injected == 0
+    for node in h:
+        assert reopened.density(node.node_id) == built.density(node.node_id)
+        assert reopened.size_mb(node.node_id) == built.size_mb(node.node_id)
 
 
 def test_catalog_from_store_rejects_wrong_hierarchy(tmp_path):

@@ -401,3 +401,62 @@ class TestConcurrentCallers:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert wrong == []
+
+
+class TestWorkerCompaction:
+    def test_prepare_after_a_fold_prices_the_folded_base(self, tmp_path):
+        """A worker that folds its deltas reopens its catalog, as a
+        restarted worker does.  It used to keep the 4,000-row base's
+        sizes, so the next prepare picked the same cut, sized for that
+        base, and pinning it raised BudgetExceededError (17,124 B of
+        folded files against a 1,644 B budget).  Driven in-process:
+        no worker is spawned."""
+        import numpy as np
+
+        from repro.hierarchy.serialization import hierarchy_to_dict
+        from repro.hierarchy.tree import paper_hierarchy
+        from repro.serve.sharded import (
+            DEFAULT_SHARD_K,
+            _WorkerConfig,
+            _WorkerState,
+        )
+        from repro.storage.catalog import MaterializedNodeCatalog
+        from repro.storage.manifest import DurableBitmapStore
+
+        hierarchy = paper_hierarchy(20)
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 20, size=4_000, dtype=np.int64)
+        appended = rng.integers(0, 20, size=40_000, dtype=np.int64)
+        MaterializedNodeCatalog(
+            hierarchy, base, DurableBitmapStore(tmp_path)
+        )
+        state = _WorkerState(
+            _WorkerConfig(
+                shard_id=0,
+                store_dir=str(tmp_path),
+                hierarchy_payload=hierarchy_to_dict(hierarchy),
+                threads=1,
+                durable=True,
+                fault_policy_kwargs=None,
+                retry_max_attempts=None,
+                expected_rows=base.size,
+            )
+        )
+        queries = (
+            RangeQuery([(0, 9)]),
+            RangeQuery([(3, 16)]),
+            RangeQuery([(5, 14)]),
+        )
+        budget = 1_644
+        state.prepare(queries, budget, None, DEFAULT_SHARD_K)
+        state.ingest(appended)
+        assert state.compact(None)[2].did_work
+        state.prepare(queries, budget, None, DEFAULT_SHARD_K)
+
+        _, _, report, resident_bytes = state.run(queries, True)
+
+        assert resident_bytes <= budget
+        assert report.ok and report.reconciles()
+        column = np.concatenate([base, appended])
+        for query, result in zip(queries, report.results):
+            assert result.answer == scan_answer(column, query)

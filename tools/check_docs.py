@@ -13,7 +13,10 @@ Validates, without any external dependency:
   committed page fails the check;
 * the event and metric catalogs in ``docs/observability.md`` match
   ``src/``: every trace event kind and metric name emitted by literal
-  has a row, and every row's name is still emitted.
+  has a row, and every row's name is still emitted;
+* every inline backticked dotted ``repro.`` name in ``README.md``,
+  ``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` imports as a
+  module or an attribute path of one.
 
 When ``mkdocs`` is importable (CI installs it; the offline dev image
 does not) it additionally runs the real ``mkdocs build --strict``.
@@ -25,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -45,6 +49,10 @@ _EVENT_RE = re.compile(
     r'|\bkind\s*=\s*"(\w+\.[\w.-]+)"'
 )
 _METRIC_RE = re.compile(r'\.(?:inc|observe)\(\s*"([^"]+)"')
+
+#: An inline code span that starts with a dotted ``repro.`` name
+#: (``repro.x.y``, optionally followed by a call or other text).
+_DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 
 TOP_LEVEL = [
     "README.md",
@@ -185,6 +193,48 @@ def check_observability_catalog() -> list[str]:
     return errors
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` imports as a module, or as attributes of the
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_dotted_names(files: list[Path]) -> list[str]:
+    """Every backticked ``repro.`` name outside code blocks resolves."""
+    sys.path.insert(0, str(REPO / "src"))
+    errors = []
+    checked = 0
+    for path in files:
+        in_code = False
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.lstrip().startswith("```"):
+                in_code = not in_code
+                continue
+            if in_code:
+                continue
+            for dotted in _DOTTED_NAME_RE.findall(line):
+                checked += 1
+                if not _resolves(dotted):
+                    errors.append(
+                        f"{path.relative_to(REPO)}: `{dotted}` does not "
+                        f"import as a module or attribute"
+                    )
+    if not errors:
+        print(f"{checked} backticked repro names resolve")
+    return errors
+
+
 def run_mkdocs_if_available() -> list[str]:
     try:
         import mkdocs  # noqa: F401
@@ -213,6 +263,10 @@ def main() -> int:
     errors += check_nav()
     errors += check_cli_reference()
     errors += check_observability_catalog()
+    # ROADMAP.md may name what a change removed.
+    errors += check_dotted_names(
+        [path for path in files if path.name != "ROADMAP.md"]
+    )
     errors += run_mkdocs_if_available()
     if errors:
         print(f"{len(errors)} documentation error(s):")
